@@ -11,12 +11,12 @@ import argparse
 import csv
 import json
 import os
+import platform
 import sys
 
 import numpy as np
 
 from . import __version__
-from ._accel import USE_NUMBA, set_threads
 from .blob_transport import transport_blob
 from .dynamics import act_density, evolve_vorticity, flow_of_stream
 from .formats import (
@@ -111,7 +111,8 @@ def _ensure_out(args):
 def _manifest(args, outputs):
     cfg = {k: v for k, v in vars(args).items() if k != "func"}
     cfg["version"] = __version__
-    cfg["numba"] = USE_NUMBA
+    cfg["numpy"] = np.__version__
+    cfg["python"] = platform.python_version()
     cfg["outputs"] = outputs
     path = os.path.join(args.out, "manifest.json")
     with open(path, "w", encoding="ascii") as fh:
@@ -329,9 +330,6 @@ def cmd_render(args):
 def main(argv=None):
     parser = _parser()
     args = parser.parse_args(argv)
-    threads = os.environ.get("QDIFF_THREADS", "").strip()
-    if threads.isdigit():
-        set_threads(int(threads))
     if hasattr(args, "n"):
         _check_n(parser, args.n)
     if args.command == "blob":

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from ._accel import legendre_table, legendre_dtheta_table, pair_index, synth_points
 from .laplacian import sh_index
 
 
@@ -149,6 +148,93 @@ def gauss_grid(nlat, nlon, values=None):
     return GridField(colat, lon, weights, np.asarray(values, dtype=np.complex128))
 
 
+# Points per Legendre block.  Transforms hold one (lmax + 1) x _CHUNK float64
+# block at a time, so their working memory is O(_CHUNK * lmax) whatever the
+# number of points.
+_CHUNK = 4096
+
+
+def _legendre_blocks(x, lmax, dtheta=False):
+    """Normalized associated Legendre functions, one m and one chunk at a time.
+
+    For each chunk x[sl] of at most _CHUNK points and each m = 0..lmax in
+    turn, yields (sl, m, P) with P[l - m, i] = P_lm(x[sl][i]) for l = m..lmax,
+    fully normalized with the Condon-Shortley sign, so that
+    Y_lm = P[l - m] * exp(i m lon) has unit L2 norm on the sphere.  With
+    dtheta, P holds d/dtheta of those functions at theta = arccos(x) instead,
+    valid away from the poles.  P is overwritten at the next step.
+
+    The diagonal P_mm is carried from one m to the next, and the three-term
+    recurrence in l fills contiguous rows of one reused buffer.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    steps = []
+    for m in range(lmax + 1):
+        # coefficients of rows l = m+2..lmax as length-1 arrays, which ufuncs
+        # take without converting a Python scalar on every call
+        l = np.arange(m + 2, lmax + 1, dtype=np.float64)[:, None]
+        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+        b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+        steps.append((list(a), list(b)))
+    for start in range(0, x.shape[0], _CHUNK):
+        sl = slice(start, start + _CHUNK)
+        xc = x[sl]
+        sx = np.sqrt(np.maximum(0.0, 1.0 - xc * xc))
+        buf = np.empty((lmax + 1, xc.shape[0]))
+        rows = list(buf)
+        tmp = np.empty(xc.shape[0])
+        pmm = np.full(xc.shape[0], 1.0 / np.sqrt(4.0 * np.pi))
+        for m in range(lmax + 1):
+            if m:
+                pmm = -np.sqrt((2.0 * m + 1.0) / (2.0 * m)) * sx * pmm
+            P = buf[: lmax + 1 - m]
+            P[0] = pmm
+            if m < lmax:
+                P[1] = np.sqrt(2.0 * m + 3.0) * xc * pmm
+            a, b = steps[m]
+            for k in range(2, lmax + 1 - m):
+                # P_lm = a (x P_{l-1,m} - b P_{l-2,m})
+                np.multiply(xc, rows[k - 1], out=rows[k])
+                np.multiply(b[k - 2], rows[k - 2], out=tmp)
+                np.subtract(rows[k], tmp, out=rows[k])
+                np.multiply(a[k - 2], rows[k], out=rows[k])
+            yield sl, m, (_dtheta_block(P, xc, m) if dtheta else P)
+
+
+def _dtheta_block(P, x, m):
+    """d/dtheta of the block P of _legendre_blocks (rows l = m.., points x)."""
+    l = np.arange(m, m + P.shape[0], dtype=np.float64)
+    e = np.sqrt((2.0 * l[1:] + 1.0) * (l[1:] ** 2 - m * m) / (2.0 * l[1:] - 1.0))
+    out = np.multiply.outer(l, x) * P
+    out[1:] -= e[:, None] * P[:-1]
+    return out / np.sqrt(np.maximum(1e-300, 1.0 - x * x))
+
+
+def _m_pairs(values, lmax):
+    """Per m = 0..lmax, the (lmax + 1 - m, 2) complex array whose row l - m is
+    [a_lm, (-1)^m a_l,-m]; the second column is zero at m = 0."""
+    pairs = []
+    for m in range(lmax + 1):
+        ls = np.arange(m, lmax + 1)
+        pair = np.zeros((ls.shape[0], 2), dtype=np.complex128)
+        pair[:, 0] = values[ls * ls + ls + m]
+        if m:
+            pair[:, 1] = (-1.0) ** m * values[ls * ls + ls - m]
+        pairs.append(pair)
+    return pairs
+
+
+def _flat_from_pairs(pairs, lmax):
+    """Inverse of _m_pairs (the m = 0 second column is ignored)."""
+    out = HarmonicCoefficients.zeros(lmax)
+    for m, pair in enumerate(pairs):
+        ls = np.arange(m, lmax + 1)
+        out.values[ls * ls + ls + m] = pair[:, 0]
+        if m:
+            out.values[ls * ls + ls - m] = (-1.0) ** m * pair[:, 1]
+    return out
+
+
 def harmonic(l, m, colat, lon):
     """Y_lm at the given colatitude/longitude (scalars or arrays)."""
     if abs(m) > l:
@@ -160,8 +246,10 @@ def harmonic(l, m, colat, lon):
     colat = np.ravel(colat)
     if colat.size and (colat.min() < -1e-12 or colat.max() > np.pi + 1e-12):
         raise ValueError("colatitude outside [0, pi]")
-    table = legendre_table(np.cos(colat), l)
-    p = table[:, pair_index(l, abs(m))]
+    p = np.empty(colat.shape)
+    for sl, k, P in _legendre_blocks(np.cos(colat), l):
+        if k == abs(m):
+            p[sl] = P[l - k]
     val = p * np.exp(1j * m * np.ravel(lon))
     if m < 0:
         val = val * (-1.0) ** m
@@ -174,23 +262,24 @@ def _fourier_slots(lmax, nlon):
         raise ValueError("nlon too small for lmax (need nlon >= 2*lmax+1)")
 
 
+def _synthesize_on(coeffs, grid, dtheta):
+    lmax = coeffs.lmax
+    _fourier_slots(lmax, grid.nlon)
+    pairs = _m_pairs(coeffs.values, lmax)
+    modes = np.zeros((grid.nlat, grid.nlon), dtype=np.complex128)
+    for sl, m, P in _legendre_blocks(np.cos(grid.colat), lmax, dtheta):
+        # one real matmul gives the +m and -m sums as a (points, 2) complex array
+        pm = (P.T @ pairs[m].view(np.float64)).view(np.complex128)
+        modes[sl, m] += pm[:, 0]
+        if m:
+            modes[sl, -m % grid.nlon] += pm[:, 1]
+    values = np.fft.ifft(modes, axis=1) * grid.nlon
+    return grid.with_values(values)
+
+
 def synthesize(coeffs, nlat, nlon):
     """GridField of sum a_lm Y_lm on an (nlat, nlon) Gauss grid."""
-    lmax = coeffs.lmax
-    _fourier_slots(lmax, nlon)
-    grid = gauss_grid(nlat, nlon)
-    table = legendre_table(np.cos(grid.colat), lmax)
-    modes = np.zeros((nlat, nlon), dtype=np.complex128)
-    for m in range(-lmax, lmax + 1):
-        am = abs(m)
-        ls = np.arange(am, lmax + 1)
-        cols = ls * (ls + 1) // 2 + am
-        sel = coeffs.values[ls * ls + ls + m]
-        if m < 0:
-            sel = sel * (-1.0) ** m
-        modes[:, m % nlon] += table[:, cols] @ sel
-    values = np.fft.ifft(modes, axis=1) * nlon
-    return grid.with_values(values)
+    return _synthesize_on(coeffs, gauss_grid(nlat, nlon), dtheta=False)
 
 
 def analyze(field, lmax):
@@ -198,18 +287,21 @@ def analyze(field, lmax):
     if field.nlat < lmax + 1:
         raise ValueError("nlat too small for lmax (need nlat >= lmax+1)")
     _fourier_slots(lmax, field.nlon)
-    table = legendre_table(np.cos(field.colat), lmax)
     fhat = np.fft.fft(field.values, axis=1) * (2.0 * np.pi / field.nlon)
-    out = HarmonicCoefficients.zeros(lmax)
-    for m in range(-lmax, lmax + 1):
-        am = abs(m)
-        ls = np.arange(am, lmax + 1)
-        cols = ls * (ls + 1) // 2 + am
-        proj = table[:, cols].T @ (field.weights * fhat[:, m % field.nlon])
-        if m < 0:
-            proj = proj * (-1.0) ** m
-        out.values[ls * ls + ls + m] = proj
-    return out
+    weighted = field.weights[:, None] * fhat
+    pairs = [np.zeros((lmax + 1 - m, 2), dtype=np.complex128) for m in range(lmax + 1)]
+    for sl, m, P in _legendre_blocks(np.cos(field.colat), lmax):
+        wm = np.ascontiguousarray(weighted[sl][:, [m, -m % field.nlon]])
+        pairs[m].view(np.float64)[...] += P @ wm.view(np.float64)
+    return _flat_from_pairs(pairs, lmax)
+
+
+# Applied to (Re a_lm, Im a_lm, Re b_lm, Im b_lm) with b_lm = (-1)^m a_l,-m,
+# the rows give the cos(m lon) and sin(m lon) weights of the real part, then
+# of the imaginary part, of a_lm Y_lm + a_l,-m Y_l,-m = P_lm (a_lm e^{i m lon}
+# + b_lm e^{-i m lon}).
+_EVAL_MIX = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, -1.0, 0.0, 1.0],
+                      [0.0, 1.0, 0.0, 1.0], [1.0, 0.0, -1.0, 0.0]])
 
 
 def evaluate(coeffs, colat, lon):
@@ -218,7 +310,17 @@ def evaluate(coeffs, colat, lon):
     lon = np.asarray(lon, dtype=np.float64)
     if colat.shape != lon.shape:
         raise ValueError("colat and lon must have matching shapes")
-    flat = synth_points(colat.ravel(), lon.ravel(), coeffs.values, coeffs.lmax)
+    flat_lon = lon.ravel()
+    mixed = [_EVAL_MIX @ pair.view(np.float64).T for pair in _m_pairs(coeffs.values, coeffs.lmax)]
+    re = np.zeros(flat_lon.shape)
+    im = np.zeros(flat_lon.shape)
+    for sl, m, P in _legendre_blocks(np.cos(colat.ravel()), coeffs.lmax):
+        r = mixed[m] @ P
+        mlon = m * flat_lon[sl]
+        c, s = np.cos(mlon), np.sin(mlon)
+        re[sl] += c * r[0] + s * r[1]
+        im[sl] += c * r[2] + s * r[3]
+    flat = re + 1j * im
     if colat.shape == ():
         return complex(flat[0])
     return flat.reshape(colat.shape)
@@ -226,21 +328,7 @@ def evaluate(coeffs, colat, lon):
 
 def synthesize_dtheta(coeffs, grid):
     """Samples of the colatitude derivative of sum a_lm Y_lm on a grid."""
-    lmax = coeffs.lmax
-    _fourier_slots(lmax, grid.nlon)
-    x = np.cos(grid.colat)
-    dtable = legendre_dtheta_table(x, lmax)
-    modes = np.zeros((grid.nlat, grid.nlon), dtype=np.complex128)
-    for m in range(-lmax, lmax + 1):
-        am = abs(m)
-        ls = np.arange(am, lmax + 1)
-        cols = ls * (ls + 1) // 2 + am
-        sel = coeffs.values[ls * ls + ls + m]
-        if m < 0:
-            sel = sel * (-1.0) ** m
-        modes[:, m % grid.nlon] += dtable[:, cols] @ sel
-    values = np.fft.ifft(modes, axis=1) * grid.nlon
-    return grid.with_values(values)
+    return _synthesize_on(coeffs, grid, dtheta=True)
 
 
 def _flat_for_size(coeffs, N):

@@ -1,6 +1,7 @@
 """End-to-end command runs: exit codes, outputs, determinism, caching."""
 
 import json
+import platform
 import subprocess
 import sys
 
@@ -53,7 +54,9 @@ def test_basis_check_passes_and_reports(tmp_path, capsys):
     cfg = json.loads((tmp_path / "manifest.json").read_text())
     assert cfg["n"] == 16
     assert "basis_check.txt" in cfg["outputs"]
-    assert "version" in cfg and "numba" in cfg
+    assert cfg["numpy"] == np.__version__
+    assert cfg["python"] == platform.python_version()
+    assert "version" in cfg
 
 
 def test_eigenbasis_cache_roundtrip(tmp_path):

@@ -1,5 +1,7 @@
 """Transforms, coefficient containers, and the classical <-> matrix maps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,13 @@ def test_synthesize_analyze_roundtrip(rng):
     f = synthesize(c, lmax + 2, 2 * lmax + 2)
     c2 = analyze(f, lmax)
     assert np.max(np.abs(c2.values - c.values)) < 1e-12
+
+
+def test_synthesize_analyze_roundtrip_high_degree(rng):
+    lmax = 127
+    c = random_coefficients(lmax, rng, real=False)
+    c2 = analyze(synthesize(c, lmax + 1, 2 * lmax + 1), lmax)
+    assert np.linalg.norm(c2.values - c.values) < 1e-12 * np.linalg.norm(c.values)
 
 
 def test_real_coefficients_give_real_fields(rng):
@@ -134,17 +143,51 @@ def test_evaluate_scattered_points(rng):
     assert np.max(np.abs(got - want)) < 1e-12
 
 
+def test_evaluate_matches_synthesize_high_degree(rng):
+    # Gauss-grid nodes (nearest the poles included) and the poles themselves
+    lmax = 127
+    c = random_coefficients(lmax, rng, real=False)
+    f = synthesize(c, lmax + 1, 2 * lmax + 1)
+    scale = np.max(np.abs(f.values))
+    rows = [0, 1, 40, lmax // 2, lmax - 1, lmax]
+    CL, LO = np.meshgrid(f.colat[rows], f.lon, indexing="ij")
+    assert np.max(np.abs(evaluate(c, CL, LO) - f.values[rows])) < 1e-12 * scale
+    # only m = 0 survives at a pole: Y_l0 = sqrt((2l+1)/(4 pi)) (+-1)^l
+    l = np.arange(lmax + 1)
+    y0 = c.values[l * l + l] * np.sqrt((2 * l + 1) / (4 * np.pi))
+    want = [np.sum(y0), np.sum(y0), np.sum(y0 * (-1.0) ** l), np.sum(y0 * (-1.0) ** l)]
+    got = evaluate(c, np.array([0.0, 0.0, np.pi, np.pi]), np.array([0.0, 2.0, 0.5, 4.0]))
+    assert np.max(np.abs(got - want)) < 1e-12 * scale
+
+
+def test_evaluate_memory_is_bounded(rng):
+    # a full point x (l, m) table here would be 2000 * 32896 * 8 B = 526 MB
+    c = random_coefficients(255, rng, real=False)
+    pts = random_points(rng, 2000)
+    colat, lon = np.arccos(pts[:, 2]), np.arctan2(pts[:, 1], pts[:, 0])
+    tracemalloc.start()
+    try:
+        evaluate(c, colat, lon)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
 def test_synthesize_dtheta(rng):
-    # colatitude derivative against a central difference of evaluate
-    c = random_coefficients(6, rng, real=False)
-    g = gauss_grid(10, 16)
-    d = synthesize_dtheta(c, g)
+    # colatitude derivative against a central difference of evaluate; the
+    # O(eps^2) truncation error grows like lmax^3, hence the wider tolerance
+    # at high degree
     eps = 1e-6
-    for i in (2, 5, 8):
-        up = evaluate(c, np.full(3, g.colat[i] + eps), g.lon[:3])
-        dn = evaluate(c, np.full(3, g.colat[i] - eps), g.lon[:3])
-        fd = (up - dn) / (2 * eps)
-        assert np.max(np.abs(d.values[i, :3] - fd)) < 1e-7
+    for lmax, tol in [(6, 1e-7), (63, 1e-5)]:
+        c = random_coefficients(lmax, rng, real=False)
+        g = gauss_grid(lmax + 4, 2 * lmax + 4)
+        d = synthesize_dtheta(c, g)
+        for i in (2, g.nlat // 2, g.nlat - 2):
+            up = evaluate(c, np.full(3, g.colat[i] + eps), g.lon[:3])
+            dn = evaluate(c, np.full(3, g.colat[i] - eps), g.lon[:3])
+            fd = (up - dn) / (2 * eps)
+            assert np.max(np.abs(d.values[i, :3] - fd)) < tol
 
 
 # --------------------------------------------------------- quantization
