@@ -1,21 +1,17 @@
-"""Center-based blob transport: the Lie-Poisson recursion on blob matrices.
+"""Center-based blob transport: the Lie-Poisson recursion on blob vectors.
 
-A blob B (rank-one skew-Hermitian point mass) is moved by repeatedly
-extracting the components a_k = Re Tr(V_k B) of the quantized vector
-field of the stream matrix P at the blob and conjugating B with
-exp(h sum_k a_k X_k).  Every step is a unitary conjugation, so the
-spectrum, trace, and Frobenius norm of B are invariant along the whole
-trajectory; entries stay bounded by the initial spectral norm.
+A blob is a rank-one skew-Hermitian point mass B = i v v* with unit v,
+carried as v.  Each step extracts the components a_k = Re Tr(V_k B) =
+Re(i v* V_k v) of the quantized vector field of the stream matrix P and
+applies the unitary exp(h sum_k a_k X_k) to v, which conjugates B: its
+spectrum, trace and norms stay invariant, so entries stay within ||v||^2.
 
 The generator split: P = P_ham + i P_grad with P_ham = (P - P*)/2 the
-quantization of the real (Hamiltonian) part of the generator and
-P_grad = -i (P + P*)/2 that of the imaginary (gradient) part.  The raw
-gradient-style components N[X_k, .] are taken of P_ham and the
-B-bracketed components [N[X_k, .], B] of P_grad: the bracketed term is
-trace-orthogonal to B (cyclic trace), so only the raw term feeds a_k,
-and applying it to P_ham is what reproduces the classical transport
-direction of the example field (the rotation generated by a then moves
-the center along minus the gradient of the real generator part).
+quantization of the real part of the generator.  V_k = N [X_k, P_ham]
+reproduces the classical transport direction of the example field (the
+center moves along minus the gradient of the real generator part).  The
+bracketed [N[X_k, P_grad], B] is trace-orthogonal to B, so it never
+feeds a_k and is not formed.
 """
 
 from dataclasses import dataclass
@@ -23,69 +19,73 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import matrix_exponential
+from .laplacian import quantized_gradient
 
 
-def quantized_vector_field(basis, P, B):
-    """Three matrices V_k combining gradient-style and bracketed components."""
+def quantized_vector_field(basis, P):
+    """V_k = N [X_k, P_ham] for k = 1..3; independent of the blob."""
     P = np.asarray(P)
-    B = np.asarray(B)
-    if P.shape != (basis.N, basis.N) or B.shape != (basis.N, basis.N):
-        raise ValueError("matrix sizes do not match the basis")
-    p_ham = 0.5 * (P - P.conj().T)
-    p_grad = -0.5j * (P + P.conj().T)
-    out = []
-    for Jk in basis.j:
-        raw = -1j * (Jk @ p_ham - p_ham @ Jk)  # N [X_k, P_ham]
-        grad = -1j * (Jk @ p_grad - p_grad @ Jk)  # N [X_k, P_grad]
-        out.append(raw + (grad @ B - B @ grad))
-    return tuple(out)
+    if P.shape != (basis.N, basis.N):
+        raise ValueError("matrix size does not match the basis")
+    return quantized_gradient(0.5 * (P - P.conj().T), basis)
 
 
-def blob_components(V, B):
-    """a_k = Re Tr(V_k B); the imaginary residue must be negligible."""
-    B = np.asarray(B)
+def blob_components(V, v):
+    """a_k = Re(i v* V_k v) = Re Tr(V_k B); the imaginary residue must be negligible."""
     a = np.empty(3)
-    nb = np.linalg.norm(B)
+    nb = np.vdot(v, v).real  # ||B||_F for B = i v v*
     for k, Vk in enumerate(V):
-        t = np.trace(Vk @ B)
+        t = 1j * np.vdot(v, Vk @ v)
         if abs(t.imag) > 1e-8 * max(1e-300, np.linalg.norm(Vk) * nb):
             raise ValueError(f"component {k + 1} has non-negligible imaginary part {t.imag:g}")
         a[k] = t.real
     return a
 
 
-def blob_step(basis, B, a, h):
-    """Conjugate B with exp(h sum a_k X_k) (a unitary for real a)."""
+def blob_step(basis, v, a, h):
+    """exp(h sum a_k X_k) v (a unitary for real a)."""
     x1, x2, x3 = basis.x
-    G = matrix_exponential(h * (a[0] * x1 + a[1] * x2 + a[2] * x3))
-    return G @ B @ G.conj().T
+    return matrix_exponential(h * (a[0] * x1 + a[1] * x2 + a[2] * x3)) @ v
 
 
 @dataclass
 class BlobTrajectory:
-    """Blob states at steps 0..n plus the extracted component history."""
+    """Blob vectors at steps 0..n (rows) plus the extracted component history."""
 
-    blobs: list
+    vectors: np.ndarray
     h: float
     a_history: np.ndarray
+
+    def blob(self, k):
+        """Dense blob i v v* at step k."""
+        v = self.vectors[k]
+        return 1j * np.outer(v, v.conj())
+
+    @property
+    def blobs(self):
+        return [self.blob(k) for k in range(len(self.vectors))]
 
     def centers(self, basis):
         from .quantization import blob_center
 
-        return np.array([blob_center(basis, B) for B in self.blobs])
+        return np.array([blob_center(basis, self.blob(k)) for k in range(len(self.vectors))])
 
 
 def transport_blob(basis, P, B0, n_steps=200, h=1.0):
-    """Iterate vector-field extraction and conjugation for n_steps."""
+    """Iterate component extraction and the unitary step for n_steps."""
     if n_steps < 1:
         raise ValueError("need at least one step")
-    B = np.asarray(B0, dtype=np.complex128)
-    blobs = [B.copy()]
+    B0 = np.asarray(B0, dtype=np.complex128)
+    w, U = np.linalg.eigh(-1j * B0)
+    v = U[:, -1]
+    if abs(w[-1] - 1.0) > 1e-10 or np.linalg.norm(B0 - 1j * np.outer(v, v.conj())) > 1e-10:
+        raise ValueError("initial state is not a unit blob i v v*")
+    V = quantized_vector_field(basis, P)
+    vectors = [v]
     a_hist = []
     for _ in range(n_steps):
-        V = quantized_vector_field(basis, P, B)
-        a = blob_components(V, B)
+        a = blob_components(V, v)
         a_hist.append(a)
-        B = blob_step(basis, B, a, h)
-        blobs.append(B.copy())
-    return BlobTrajectory(blobs=blobs, h=h, a_history=np.array(a_hist))
+        v = blob_step(basis, v, a, h)
+        vectors.append(v)
+    return BlobTrajectory(vectors=np.array(vectors), h=h, a_history=np.array(a_hist))

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .blob_transport import transport_blob
-from .dynamics import act_density, evolve_vorticity, flow_of_stream
+from .dynamics import act_density, evolve_vorticity, flow_of_stream, step_count
 from .formats import (
     load_coefficients,
     load_eigenbasis,
@@ -35,6 +35,7 @@ from .quantization import (
     blob_at,
     blob_center,
     dequantize,
+    quantize,
     quantize_generator,
 )
 from .reference_flows import (
@@ -199,15 +200,10 @@ def _default_vorticity(eig):
 def cmd_simulate(args):
     out = _ensure_out(args)
     eig = _eigenbasis(args.n, args.cache_eigenbasis)
-    if args.init:
-        coeffs = load_coefficients(args.init)
-    else:
-        coeffs = _default_vorticity(eig)
-    flat = np.zeros(args.n * args.n, dtype=np.complex128)
-    upto = min(flat.size, coeffs.values.size)
-    flat[:upto] = coeffs.values[:upto]
-    flat[0] = 0.0  # constants do not move anything; keep W trace-free
-    W0 = eig.compose(1j * flat)
+    coeffs = load_coefficients(args.init) if args.init else _default_vorticity(eig)
+    values = coeffs.values.copy()
+    values[0] = 0.0  # constants do not move anything; keep W trace-free
+    W0 = quantize(HarmonicCoefficients(coeffs.lmax, 1j * values), eig)
     traj = evolve_vorticity(W0, eig, args.t_final, args.dt, args.integrator, args.model)
     outputs = ["diagnostics.csv", "final_vorticity.qmat", "final_vorticity.qcoef"]
     with open(os.path.join(out, "diagnostics.csv"), "w", newline="", encoding="ascii") as fh:
@@ -215,11 +211,9 @@ def cmd_simulate(args):
         w.writerow(["step", "time", "trace_re", "trace_im", "trW2_re", "trW2_im", "eig_drift"])
         w.writerows(traj.diagnostics_rows())
     save_matrix(os.path.join(out, "final_vorticity.qmat"), traj.states[-1])
-    # undo the i from W = compose(i a) so the file holds the same convention
-    # --init reads; the written field feeds straight back in or into render
-    cfin = dequantize(traj.states[-1], eig)
+    # same convention --init reads: feeds straight back in or into render
     save_coefficients(os.path.join(out, "final_vorticity.qcoef"),
-                      HarmonicCoefficients(cfin.lmax, -1j * cfin.values))
+                      _real_coeffs(traj.states[-1], eig))
     if args.save_states:
         for k, Wk in enumerate(traj.states):
             name = f"state_{k:05d}.qmat"
@@ -229,9 +223,9 @@ def cmd_simulate(args):
     return 0
 
 
-def _blob_raster_coeffs(B, eig):
-    # a real blob density is B = quantize(i a); undo the i to render it
-    c = dequantize(B, eig)
+def _real_coeffs(M, eig):
+    """a with M = quantize(i a): undo the i that puts real fields in u(N)."""
+    c = dequantize(M, eig)
     return HarmonicCoefficients(c.lmax, -1j * c.values)
 
 
@@ -260,9 +254,9 @@ def cmd_blob(args):
         B_final = act_density(flow_of_stream(P, args.t), B0)
     else:
         traj = transport_blob(basis, P, B0, n_steps=args.steps, h=args.h)
-        times = [args.h * k for k in range(len(traj.blobs))]
+        times = [args.h * k for k in range(len(traj.vectors))]
         centers = traj.centers(basis)
-        B_final = traj.blobs[-1]
+        B_final = traj.blob(-1)
         with open(os.path.join(out, "a_history.csv"), "w", newline="", encoding="ascii") as fh:
             w = csv.writer(fh)
             w.writerow(["step", "a1", "a2", "a3"])
@@ -270,7 +264,7 @@ def cmd_blob(args):
                 w.writerow([k, a[0], a[1], a[2]])
     _write_track(os.path.join(out, "track.csv"), times, centers)
     save_matrix(os.path.join(out, "final_blob.qmat"), B_final)
-    img = render_field(_blob_raster_coeffs(B_final, eig), width=args.width)
+    img = render_field(_real_coeffs(B_final, eig), width=args.width)
     write_raster_with_sidecar(os.path.join(out, "blob.ppm"), img)
     outputs = ["track.csv", "final_blob.qmat", "blob.ppm", "blob.ppm.range"]
     if args.mode == "center":
@@ -337,6 +331,10 @@ def main(argv=None):
     if args.command == "simulate":
         if args.t_final < 0 or args.dt <= 0:
             parser.error("need --t-final >= 0 and --dt > 0")
+        try:
+            step_count(args.t_final, args.dt)
+        except ValueError:
+            parser.error("--t-final must be 0 or a whole positive number of --dt steps")
     if args.command == "blob" and (args.steps < 1 or args.h <= 0):
         parser.error("need --steps >= 1 and --h > 0")
     if args.command == "deform" and not 0 <= args.refinements <= 8:

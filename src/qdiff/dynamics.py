@@ -127,6 +127,15 @@ def _sorted_eigs(W):
     return e[np.lexsort((e.real, e.imag))]
 
 
+def step_count(t_final, h):
+    """Steps of size h spanning t_final; raises unless that is a whole number."""
+    ratio = t_final / h
+    n = int(round(ratio)) if np.isfinite(ratio) else 0
+    if not abs(ratio - n) <= 1e-9 * ratio or (t_final > 0 and n < 1):
+        raise ValueError(f"t_final={t_final!r} is not a whole positive number of steps h={h!r}")
+    return n
+
+
 def evolve_vorticity(W0, eig, t_final, h, integrator="isomp", model="euler"):
     """Evolve W0 to t_final in steps of h, recording diagnostics per state."""
     if t_final < 0.0:
@@ -138,7 +147,7 @@ def evolve_vorticity(W0, eig, t_final, h, integrator="isomp", model="euler"):
     W = np.asarray(W0, dtype=np.complex128)
     if abs(np.trace(W)) > 1e-9 * max(1.0, np.linalg.norm(W)):
         raise ValueError("initial vorticity must be trace-free")
-    n = int(round(t_final / h)) if t_final > 0 else 0
+    n = step_count(t_final, h)
     step = step_isospectral_midpoint if integrator == "isomp" else step_rk4
     states = [W.copy()]
     e0 = _sorted_eigs(W)

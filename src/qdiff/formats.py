@@ -46,6 +46,11 @@ def _take(payload, offset, dtype, count):
     return arr, offset + count * arr.itemsize
 
 
+def _end(path, payload, offset):
+    if offset != len(payload):
+        raise ValueError(f"{path}: payload is {len(payload)} bytes, header implies {offset}")
+
+
 def save_matrix(path, M):
     M = np.asarray(M, dtype=np.complex128)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -61,7 +66,8 @@ def save_matrix(path, M):
 def load_matrix(path):
     fields, payload = _read(path, "qmat-v1")
     n = int(fields["n"])
-    arr, _ = _take(payload, 0, np.complex128, n * n)
+    arr, off = _take(payload, 0, np.complex128, n * n)
+    _end(path, payload, off)
     return arr.reshape(n, n).copy()
 
 
@@ -77,7 +83,8 @@ def save_coefficients(path, coeffs):
 def load_coefficients(path):
     fields, payload = _read(path, "qcoef-v1")
     lmax = int(fields["lmax"])
-    arr, _ = _take(payload, 0, np.complex128, (lmax + 1) ** 2)
+    arr, off = _take(payload, 0, np.complex128, (lmax + 1) ** 2)
+    _end(path, payload, off)
     return HarmonicCoefficients(lmax, arr.copy())
 
 
@@ -98,6 +105,7 @@ def load_grid(path):
     weights, off = _take(payload, off, np.float64, nlat)
     lon, off = _take(payload, off, np.float64, nlon)
     values, off = _take(payload, off, np.complex128, nlat * nlon)
+    _end(path, payload, off)
     return GridField(colat.copy(), lon.copy(), weights.copy(), values.reshape(nlat, nlon).copy())
 
 
@@ -124,6 +132,7 @@ def load_mesh(path):
     if int(fields.get("scalars", "0")):
         scalars, off = _take(payload, off, np.float64, nf)
         scalars = scalars.copy()
+    _end(path, payload, off)
     return TriMesh(verts.reshape(nv, 3).copy(), faces.reshape(nf, 3).copy(), scalars)
 
 
@@ -141,6 +150,7 @@ def load_eigenbasis(path):
         size = N - m
         band, off = _take(payload, off, np.float64, size * size)
         bands.append(band.reshape(size, size).copy())
+    _end(path, payload, off)
     return LaplacianEigenbasis(N=N, bands=tuple(bands))
 
 

@@ -177,19 +177,9 @@ def apply_laplacian_band(N, m, t):
     return out[:, 0] if squeeze else out
 
 
-def _degree_scale(N, factor):
-    """Flat vector applying factor(l) to every coefficient of degree l."""
-    out = np.zeros(N * N)
-    for l in range(N):
-        out[l * l : (l + 1) * (l + 1)] = factor(l)
-    return out
-
-
 def solve_poisson(W, eig):
     """P with Delta P = W on the mean-free part; the l = 0 mode is dropped."""
-    c = eig.decompose(W)
-    scale = _degree_scale(eig.N, lambda l: 0.0 if l == 0 else -1.0 / (l * (l + 1.0)))
-    return eig.compose(c * scale)
+    return solve_stream(W, eig, "euler")
 
 
 def solve_stream(W, eig, model="euler"):
@@ -199,14 +189,14 @@ def solve_stream(W, eig, model="euler"):
     applies (1 - Delta)^{-1}, the inertia operator of the EPDiff system.
     The l = 0 mode is dropped in both cases.
     """
-    c = eig.decompose(W)
-    if model == "euler":
-        factor = lambda l: 0.0 if l == 0 else -1.0 / (l * (l + 1.0))
-    elif model == "epdiff":
-        factor = lambda l: 0.0 if l == 0 else -1.0 / (l * (l + 1.0) * (1.0 + l * (l + 1.0)))
-    else:
+    if model not in ("euler", "epdiff"):
         raise ValueError("model must be 'euler' or 'epdiff'")
-    return eig.compose(c * _degree_scale(eig.N, factor))
+    c = eig.decompose(W)
+    l = np.arange(1, eig.N)
+    lam = l * (l + 1.0)
+    per_degree = -1.0 / lam if model == "euler" else -1.0 / (lam * (1.0 + lam))
+    c *= np.repeat(np.concatenate(([0.0], per_degree)), 2 * np.arange(eig.N) + 1)
+    return eig.compose(c)
 
 
 def quantized_gradient(P, spin=None):

@@ -13,6 +13,7 @@ from qdiff import (
     blob_components,
     blob_step,
     example_generator,
+    matrix_exponential,
     quantize_generator,
     quantized_vector_field,
     transport_blob,
@@ -20,6 +21,11 @@ from qdiff import (
 from conftest import eigenbasis
 
 _CACHE = {}
+
+
+def unit_vector(B):
+    """Unit v with B = i v v*, up to phase."""
+    return np.linalg.eigh(-1j * B)[1][:, -1]
 
 
 def example_run(N=32, n_steps=60, h=0.05):
@@ -75,13 +81,13 @@ def test_bracketed_component_is_trace_orthogonal(rng):
 
 
 def test_hermitian_stream_moves_nothing():
-    # a Hermitian P has no rotation part; only bracketed terms remain,
-    # and those never feed the components
+    # a Hermitian P has no rotation part; its bracketed terms never feed
+    # the components (see test_matches_dense_recursion_with_bracket_term)
     basis = SpinBasis(12)
     H = np.diag(np.linspace(-1.0, 1.0, 12)).astype(np.complex128)
     B = blob_at(basis, (0.3, -0.4, np.sqrt(1 - 0.25)))
-    V = quantized_vector_field(basis, H, B)
-    a = blob_components(V, B)
+    V = quantized_vector_field(basis, H)
+    a = blob_components(V, unit_vector(B))
     assert np.max(np.abs(a)) < 1e-13
 
 
@@ -91,20 +97,21 @@ def test_components_reject_imaginary_residue():
     eye = np.eye(8, dtype=np.complex128)
     # Tr(I B) = i for a unit blob: purely imaginary, must be refused
     with pytest.raises(ValueError):
-        blob_components((eye, eye, eye), B)
+        blob_components((eye, eye, eye), unit_vector(B))
 
 
 def test_vector_field_checks_shapes():
     basis = SpinBasis(8)
     with pytest.raises(ValueError):
-        quantized_vector_field(basis, np.eye(7), np.eye(8))
+        quantized_vector_field(basis, np.eye(7))
 
 
 def test_blob_step_is_unitary_conjugation(rng):
     basis = SpinBasis(10)
     B = blob_at(basis, (0.0, 1.0, 0.0))
     a = rng.standard_normal(3) * 3.0
-    B1 = blob_step(basis, B, a, 0.7)
+    v1 = blob_step(basis, unit_vector(B), a, 0.7)
+    B1 = 1j * np.outer(v1, v1.conj())
     assert np.linalg.norm(B1 + B1.conj().T) < 1e-13
     assert abs(np.trace(B1) - np.trace(B)) < 1e-13
     assert abs(np.linalg.norm(B1) - np.linalg.norm(B)) < 1e-13
@@ -131,3 +138,47 @@ def test_small_n_consistency():
     t = tr.h * np.arange(z.size)
     assert z[-1] > 0.8
     assert np.max(np.abs(z - np.tanh(basis.s / basis.N * t))) < 0.02
+
+
+def test_matches_dense_recursion_with_bracket_term():
+    # the dense recursion on B itself, bracketed term included:
+    # a_k = Re Tr(V_k B), B <- G B G* with G = exp(h a.X)
+    N, n_steps, h = 16, 20, 0.5
+    basis = SpinBasis(N)
+    P = quantize_generator(example_generator(), eigenbasis(N))
+    B = blob_at(basis, (0.6, 0.0, -0.8))
+    tr = transport_blob(basis, P, B, n_steps=n_steps, h=h)
+    p_ham = 0.5 * (P - P.conj().T)
+    p_grad = -0.5j * (P + P.conj().T)
+    x1, x2, x3 = basis.x
+    blobs, a_hist = [B], []
+    for _ in range(n_steps):
+        a = np.empty(3)
+        for k, Jk in enumerate(basis.j):
+            grad = -1j * (Jk @ p_grad - p_grad @ Jk)
+            Vk = -1j * (Jk @ p_ham - p_ham @ Jk) + (grad @ B - B @ grad)
+            a[k] = np.trace(Vk @ B).real
+        a_hist.append(a)
+        G = matrix_exponential(h * (a[0] * x1 + a[1] * x2 + a[2] * x3))
+        B = G @ B @ G.conj().T
+        blobs.append(B)
+    assert np.max(np.abs(tr.a_history - np.array(a_hist))) < 1e-12
+    assert max(np.max(np.abs(x - y)) for x, y in zip(tr.blobs, blobs)) < 1e-12
+
+
+@pytest.mark.parametrize("scale, other", [(2.0, None), (1.0, (0.0, 0.0, 1.0))])
+def test_transport_rejects_non_blob(scale, other):
+    basis = SpinBasis(8)
+    B = scale * blob_at(basis, (0.0, 1.0, 0.0))
+    if other is not None:
+        B = B + blob_at(basis, other)
+    with pytest.raises(ValueError):
+        transport_blob(basis, np.zeros((8, 8)), B, n_steps=3)
+
+
+def test_trajectory_stores_vectors():
+    n_steps = 60
+    basis, tr = example_run(n_steps=n_steps)
+    assert tr.vectors.shape == (n_steps + 1, basis.N)
+    assert np.max(np.abs(np.linalg.norm(tr.vectors, axis=1) - 1.0)) < 1e-12
+    assert np.array_equal(tr.blob(-1), tr.blobs[-1])

@@ -110,6 +110,17 @@ def test_simulate_save_states_and_init(tmp_path):
         run(["simulate", "--n", "8", "--dt", "0", "--out", out])
 
 
+@pytest.mark.parametrize("t_final, dt", [("1.0", "0.3"), ("1.0", "3")])
+def test_simulate_rejects_span_not_whole_steps(tmp_path, t_final, dt):
+    # rounding the step count stopped at t = 0.9, or ran no step at all,
+    # while the manifest recorded the requested span
+    with pytest.raises(SystemExit) as ex:
+        run(["simulate", "--n", "8", "--t-final", t_final, "--dt", dt,
+             "--out", tmp_path])
+    assert ex.value.code == 2
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_simulate_qcoef_output_feeds_back_in(tmp_path):
     # written coefficients use the same convention --init reads: a run over
     # t=0 must hand back (a truncation of) what went in, and the file must
@@ -199,6 +210,19 @@ def test_render_roundtrip_and_bad_input(tmp_path, capsys):
     assert run(["render", "--input", cache, "--out", out]) == 1
     err = capsys.readouterr().err
     assert err.startswith("qdiff-error ")
+    assert err.count("\n") == 1
+
+
+def test_render_refuses_trailing_bytes(tmp_path, capsys):
+    c = HarmonicCoefficients.zeros(2)
+    c[1, 0] = 1.0
+    src = tmp_path / "c.qcoef"
+    save_coefficients(src, c)
+    with open(src, "ab") as fh:
+        fh.write(b"\0" * 8)
+    assert run(["render", "--input", src, "--width", "64", "--out", tmp_path / "r"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qdiff-error ValueError: ")
     assert err.count("\n") == 1
 
 

@@ -177,6 +177,20 @@ def test_evolve_rejects_traceful(eig8):
         evolve_vorticity(W, eig8, 0.1, 0.1)
 
 
+@pytest.mark.parametrize("t_final, h", [(1.0, 0.3), (1.0, 3.0)])
+def test_evolve_rejects_span_not_whole_steps(eig8, rng, t_final, h):
+    # rounding the step count ran to t = 0.9, or ran no step at all
+    W = random_vorticity(8, 4, rng)
+    with pytest.raises(ValueError):
+        evolve_vorticity(W, eig8, t_final, h)
+
+
+def test_evolve_accepts_roundoff_step_counts(eig8, rng):
+    W = random_vorticity(8, 4, rng)
+    for t_final, h, n in ((0.3, 0.1, 3), (0.2, 0.025, 8), (0.0, 0.5, 0)):
+        assert len(evolve_vorticity(W, eig8, t_final, h).states) == n + 1
+
+
 def test_epdiff_differs_from_euler(eig16, rng):
     W = random_vorticity(16, 5, rng)
     a = evolve_vorticity(W, eig16, 0.5, 0.05, "isomp", "euler").states[-1]

@@ -103,6 +103,23 @@ def test_truncated_file_is_refused(tmp_path):
         load_coefficients(p)
 
 
+@pytest.mark.parametrize("name, save, load, obj", [
+    ("m.qmat", save_matrix, load_matrix, lambda: np.eye(4, dtype=np.complex128)),
+    ("c.qcoef", save_coefficients, load_coefficients, lambda: HarmonicCoefficients.zeros(3)),
+    ("f.qgrid", save_grid, load_grid, lambda: gauss_grid(4, 7)),
+    ("m.qmesh", save_mesh, load_mesh, lambda: icosasphere(0)),
+    ("e.qeig", save_eigenbasis, load_eigenbasis, lambda: build_eigenbasis(4)),
+], ids=["qmat", "qcoef", "qgrid", "qmesh", "qeig"])
+def test_trailing_bytes_are_refused(tmp_path, name, save, load, obj):
+    p = tmp_path / name
+    save(p, obj())
+    load(p)
+    with open(p, "ab") as fh:
+        fh.write(b"\0" * 16)
+    with pytest.raises(ValueError):
+        load(p)
+
+
 def test_ppm_layout(tmp_path):
     c = HarmonicCoefficients.zeros(1)
     c[1, 0] = 1.0

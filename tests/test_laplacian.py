@@ -189,6 +189,20 @@ def test_epdiff_factor_general_degree(eig16):
         assert abs(got + 1.0 / (lam * (1.0 + lam))) < 1e-12
 
 
+def test_solve_stream_matches_per_degree_loop(eig16, rng):
+    # reference: the per-degree factor applied one degree at a time,
+    # same arithmetic, so the results must agree bit for bit
+    W = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    c = eig16.decompose(W)
+    for model in ("euler", "epdiff"):
+        scale = np.zeros(256)
+        for l in range(1, 16):
+            lam = l * (l + 1.0)
+            scale[l * l : (l + 1) ** 2] = -1.0 / lam if model == "euler" else -1.0 / (lam * (1.0 + lam))
+        assert np.array_equal(solve_stream(W, eig16, model), eig16.compose(c * scale))
+    assert np.array_equal(solve_poisson(W, eig16), solve_stream(W, eig16, "euler"))
+
+
 def test_quantized_gradient_of_x3_generator():
     # P = X3 has quantized gradient (-X2, X1, 0)
     N = 10
