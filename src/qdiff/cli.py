@@ -121,11 +121,18 @@ def _manifest(args, outputs):
         fh.write("\n")
 
 
-def _eigenbasis(n, cache_path):
+def _eigenbasis(args):
+    """The eigenbasis for --n, read from --cache-eigenbasis when it fits.
+
+    A cache of another size is rebuilt and overwritten, and the manifest's
+    warnings say so.
+    """
+    n, cache_path = args.n, args.cache_eigenbasis
     if cache_path and os.path.exists(cache_path):
         eig = load_eigenbasis(cache_path)
         if eig.N == n:
             return eig
+        args.warnings.append(f"eigenbasis cache {cache_path} held N={eig.N}; replaced with N={n}")
     eig = build_eigenbasis(n)
     if cache_path:
         save_eigenbasis(cache_path, eig)
@@ -161,7 +168,7 @@ def cmd_basis_check(args):
     cas = n * n * (x1 @ x1 + x2 @ x2 + x3 @ x3) + (n * n - 1) / 4.0 * np.eye(n)
     check("casimir", np.linalg.norm(cas), 1e-11 * n * n)
     check("trace-free", max(abs(np.trace(x)) for x in basis.x), 1e-12)
-    eig = _eigenbasis(n, args.cache_eigenbasis)
+    eig = _eigenbasis(args)
     ortho = max(
         np.max(np.abs(eig.bands[m].T @ eig.bands[m] - np.eye(n - m))) for m in range(n)
     )
@@ -199,7 +206,7 @@ def _default_vorticity(eig):
 
 def cmd_simulate(args):
     out = _ensure_out(args)
-    eig = _eigenbasis(args.n, args.cache_eigenbasis)
+    eig = _eigenbasis(args)
     coeffs = load_coefficients(args.init) if args.init else _default_vorticity(eig)
     values = coeffs.values.copy()
     values[0] = 0.0  # constants do not move anything; keep W trace-free
@@ -241,7 +248,7 @@ def cmd_blob(args):
     out = _ensure_out(args)
     parser_point = args.point_vec
     basis = SpinBasis(args.n)
-    eig = _eigenbasis(args.n, args.cache_eigenbasis)
+    eig = _eigenbasis(args)
     P = quantize_generator(example_generator(), eig)
     B0 = blob_at(basis, parser_point)
     if args.mode == "density":
@@ -275,7 +282,7 @@ def cmd_blob(args):
 
 def cmd_deform(args):
     out = _ensure_out(args)
-    eig = _eigenbasis(args.n, args.cache_eigenbasis)
+    eig = _eigenbasis(args)
     mesh0 = icosasphere(args.refinements)
     mesh1 = transport_mesh(mesh0, args.t)
     ratios = face_area_ratios(mesh0, mesh1)
@@ -324,6 +331,7 @@ def cmd_render(args):
 def main(argv=None):
     parser = _parser()
     args = parser.parse_args(argv)
+    args.warnings = []
     if hasattr(args, "n"):
         _check_n(parser, args.n)
     if args.command == "blob":

@@ -41,6 +41,17 @@ def _read(path, tag):
     return fields, payload
 
 
+def _header_int(path, fields, key, minimum):
+    """Integer header field `key`, refused unless it is at least `minimum`."""
+    try:
+        value = int(fields[key])
+    except (KeyError, ValueError):
+        raise ValueError(f"{path}: header needs an integer {key}=") from None
+    if value < minimum:
+        raise ValueError(f"{path}: header {key}={value} is below {minimum}")
+    return value
+
+
 def _take(payload, offset, dtype, count):
     arr = np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
     return arr, offset + count * arr.itemsize
@@ -65,7 +76,7 @@ def save_matrix(path, M):
 
 def load_matrix(path):
     fields, payload = _read(path, "qmat-v1")
-    n = int(fields["n"])
+    n = _header_int(path, fields, "n", 1)
     arr, off = _take(payload, 0, np.complex128, n * n)
     _end(path, payload, off)
     return arr.reshape(n, n).copy()
@@ -82,7 +93,7 @@ def save_coefficients(path, coeffs):
 
 def load_coefficients(path):
     fields, payload = _read(path, "qcoef-v1")
-    lmax = int(fields["lmax"])
+    lmax = _header_int(path, fields, "lmax", 0)
     arr, off = _take(payload, 0, np.complex128, (lmax + 1) ** 2)
     _end(path, payload, off)
     return HarmonicCoefficients(lmax, arr.copy())
@@ -99,7 +110,7 @@ def save_grid(path, field):
 
 def load_grid(path):
     fields, payload = _read(path, "qgrid-v1")
-    nlat, nlon = int(fields["nlat"]), int(fields["nlon"])
+    nlat, nlon = _header_int(path, fields, "nlat", 1), _header_int(path, fields, "nlon", 1)
     off = 0
     colat, off = _take(payload, off, np.float64, nlat)
     weights, off = _take(payload, off, np.float64, nlat)
@@ -124,7 +135,7 @@ def save_mesh(path, mesh):
 
 def load_mesh(path):
     fields, payload = _read(path, "qmesh-v1")
-    nv, nf = int(fields["nv"]), int(fields["nf"])
+    nv, nf = _header_int(path, fields, "nv", 0), _header_int(path, fields, "nf", 0)
     off = 0
     verts, off = _take(payload, off, np.float64, 3 * nv)
     faces, off = _take(payload, off, np.int64, 3 * nf)
@@ -143,7 +154,7 @@ def save_eigenbasis(path, eig):
 
 def load_eigenbasis(path):
     fields, payload = _read(path, "qeig-v1")
-    N = int(fields["n"])
+    N = _header_int(path, fields, "n", 1)
     off = 0
     bands = []
     for m in range(N):

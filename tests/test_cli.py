@@ -73,6 +73,19 @@ def test_eigenbasis_cache_roundtrip(tmp_path):
     assert load_eigenbasis(cache).N == 10
 
 
+def test_replaced_eigenbasis_cache_is_reported(tmp_path):
+    cache = tmp_path / "basis.qeig"
+    assert run(["basis-check", "--n", "8", "--out", tmp_path / "a",
+                "--cache-eigenbasis", cache]) == 0
+    assert json.loads((tmp_path / "a" / "manifest.json").read_text())["warnings"] == []
+    assert run(["simulate", "--n", "10", "--t-final", "0.1", "--dt", "0.05",
+                "--out", tmp_path / "b", "--cache-eigenbasis", cache]) == 0
+    warnings = json.loads((tmp_path / "b" / "manifest.json").read_text())["warnings"]
+    assert len(warnings) == 1
+    assert "N=8" in warnings[0] and "N=10" in warnings[0]
+    assert load_eigenbasis(cache).N == 10
+
+
 def test_simulate_diagnostics_and_outputs(tmp_path):
     out = tmp_path / "sim"
     assert run(["simulate", "--n", "8", "--t-final", "0.2", "--dt", "0.05",
@@ -108,6 +121,18 @@ def test_simulate_save_states_and_init(tmp_path):
         assert (out / f"state_{k:05d}.qmat").exists()
     with pytest.raises(SystemExit):
         run(["simulate", "--n", "8", "--dt", "0", "--out", out])
+
+
+def test_simulate_refuses_negative_lmax_init(tmp_path, capsys):
+    # lmax=-2 implies one coefficient, so the payload length alone passed
+    # and the run evolved zero vorticity with exit 0
+    init = tmp_path / "w0.qcoef"
+    init.write_bytes(b"qcoef-v1 lmax=-2 order=l-major-m-fastest precision=binary64\n" + b"\0" * 16)
+    assert run(["simulate", "--n", "8", "--t-final", "0.1", "--dt", "0.05",
+                "--init", init, "--out", tmp_path / "sim"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qdiff-error ValueError: ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("t_final, dt", [("1.0", "0.3"), ("1.0", "3")])

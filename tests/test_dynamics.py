@@ -28,7 +28,8 @@ from qdiff import (
     synthesize,
     vorticity_rhs,
 )
-from qdiff.dynamics import act_density
+from qdiff.dynamics import _sorted_eigs, _sorted_eigs_skew, _spectrum_for, act_density
+from qdiff.laplacian import LaplacianEigenbasis
 from conftest import eigenbasis
 
 
@@ -199,6 +200,41 @@ def test_epdiff_differs_from_euler(eig16, rng):
     # both stay skew and isospectral
     for X in (a, b):
         assert np.linalg.norm(X + X.conj().T) < 1e-10
+
+
+def test_step_loop_skips_eigenbasis(eig16, rng, monkeypatch):
+    W = random_vorticity(16, 5, rng)
+    calls = {"decompose": 0, "compose": 0}
+    for name in calls:
+        inner = getattr(LaplacianEigenbasis, name)
+
+        def counted(self, arg, _inner=inner, _name=name):
+            calls[_name] += 1
+            return _inner(self, arg)
+
+        monkeypatch.setattr(LaplacianEigenbasis, name, counted)
+    for integrator in ("isomp", "rk4"):
+        for model in ("euler", "epdiff"):
+            evolve_vorticity(W, eig16, 0.1, 0.05, integrator, model)
+    assert calls == {"decompose": 0, "compose": 0}
+
+
+def test_drift_paths_agree_on_skew_vorticity(eig16, rng):
+    W = random_vorticity(16, 6, rng)
+    assert _spectrum_for(W) is _sorted_eigs_skew
+    tr = evolve_vorticity(W, eig16, 0.5, 0.05, "isomp", "euler")
+    e0 = _sorted_eigs(W)
+    general = [np.max(np.abs(_sorted_eigs(Wk) - e0)) for Wk in tr.states]
+    assert np.max(np.abs(tr.eig_drift - general)) <= 1e-12
+
+
+def test_drift_of_complex_field_uses_general_eigensolver(eig16, rng):
+    # a complex vorticity field quantizes to a matrix that is not skew
+    A = random_vorticity(16, 4, rng)
+    W = A + 1j * random_vorticity(16, 4, rng)
+    assert _spectrum_for(W) is _sorted_eigs
+    tr = evolve_vorticity(W, eig16, 0.2, 0.05, "isomp", "euler")
+    assert np.max(tr.eig_drift) < 1e-10
 
 
 # --------------------------------------------------------- flow and F

@@ -103,6 +103,35 @@ def test_truncated_file_is_refused(tmp_path):
         load_coefficients(p)
 
 
+@pytest.mark.parametrize("load, header, payload_bytes", [
+    # lmax = -2 implies (lmax + 1)^2 = 1 value, so the length check passed
+    (load_coefficients, "qcoef-v1 lmax=-2", 16),
+    (load_coefficients, "qcoef-v1 lmax=-1", 0),
+    (load_coefficients, "qcoef-v1 lmax=two", 16),
+    (load_matrix, "qmat-v1 n=0", 0),
+    (load_matrix, "qmat-v1 n=-1", 16),
+    (load_matrix, "qmat-v1 layout=row-major", 16),
+    (load_grid, "qgrid-v1 nlat=0 nlon=3", 24),
+    (load_grid, "qgrid-v1 nlat=2 nlon=-1", 32),
+    (load_mesh, "qmesh-v1 nv=-1 nf=0", 0),
+    (load_mesh, "qmesh-v1 nv=3 nf=-1", 72),
+    (load_eigenbasis, "qeig-v1 n=0", 0),
+], ids=["lmax-2", "lmax-1", "lmax-text", "n0", "n-1", "n-missing", "nlat0", "nlon-1",
+        "nv-1", "nf-1", "eig-n0"])
+def test_header_integers_are_range_checked(tmp_path, load, header, payload_bytes):
+    p = tmp_path / "bad"
+    p.write_bytes(header.encode("ascii") + b"\n" + b"\0" * payload_bytes)
+    with pytest.raises(ValueError):
+        load(p)
+
+
+def test_empty_mesh_is_legal(tmp_path):
+    p = tmp_path / "empty.qmesh"
+    p.write_bytes(b"qmesh-v1 nv=0 nf=0 scalars=0\n")
+    mesh = load_mesh(p)
+    assert mesh.n_vertices == 0 and mesh.n_faces == 0
+
+
 @pytest.mark.parametrize("name, save, load, obj", [
     ("m.qmat", save_matrix, load_matrix, lambda: np.eye(4, dtype=np.complex128)),
     ("c.qcoef", save_coefficients, load_coefficients, lambda: HarmonicCoefficients.zeros(3)),

@@ -189,18 +189,58 @@ def test_epdiff_factor_general_degree(eig16):
         assert abs(got + 1.0 / (lam * (1.0 + lam))) < 1e-12
 
 
-def test_solve_stream_matches_per_degree_loop(eig16, rng):
-    # reference: the per-degree factor applied one degree at a time,
-    # same arithmetic, so the results must agree bit for bit
-    W = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    c = eig16.decompose(W)
+def test_solve_stream_matches_per_degree_loop(rng):
+    # reference: the per-degree factor applied in the eigenbasis; the band
+    # solve reaches the same stream matrix by different arithmetic
+    for N in (1, 2, 3, 16, 64):
+        eig = eigenbasis(N)
+        W = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+        c = eig.decompose(W)
+        for model in ("euler", "epdiff"):
+            scale = np.zeros(N * N)
+            for l in range(1, N):
+                lam = l * (l + 1.0)
+                scale[l * l : (l + 1) ** 2] = -1.0 / lam if model == "euler" else -1.0 / (lam * (1.0 + lam))
+            ref = eig.compose(c * scale)
+            err = np.linalg.norm(solve_stream(W, eig, model) - ref)
+            assert err <= 1e-12 * np.linalg.norm(ref), (N, model)
+        assert np.array_equal(solve_poisson(W, eig), solve_stream(W, eig, "euler"))
+
+
+@pytest.mark.parametrize("N", [128, 256])
+def test_solve_stream_residual_large(N, rng):
+    W = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    spin = SpinBasis(N)
+    scale = np.linalg.norm(W)
+    target = W - np.trace(W) / N * np.eye(N)
+    P = solve_stream(W, eigenbasis(N))
+    assert np.linalg.norm(apply_laplacian(P, spin) - target) <= 1e-12 * scale
+    assert abs(np.trace(P)) <= 1e-12 * scale
+    # EPDiff: (1 - Delta) Delta Q = W on the mean-free part.  Evaluating
+    # the residual scales the rounding of Q by ||(1 - Delta) Delta|| ~ N^4,
+    # so it is bounded relative to that norm (a backward error; on random
+    # W the eigenbasis path gives 2e-16 to 4e-16, the band solve 2e-17)
+    Q = solve_stream(W, eigenbasis(N), "epdiff")
+    LQ = apply_laplacian(Q, spin)
+    lam = (N - 1.0) * N
+    res = np.linalg.norm(LQ - apply_laplacian(LQ, spin) - target)
+    assert res <= 1e-14 * lam * (1.0 + lam) * np.linalg.norm(Q)
+    assert abs(np.trace(Q)) <= 1e-12 * scale
+    # one Laplacian away from the Euler stream: (1 - Delta) Q = P
+    assert np.linalg.norm(Q - LQ - P) <= 1e-12 * scale
+
+
+def test_solve_stream_keeps_skew_hermitian(eig16, rng):
+    A = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    W = A - A.conj().T
     for model in ("euler", "epdiff"):
-        scale = np.zeros(256)
-        for l in range(1, 16):
-            lam = l * (l + 1.0)
-            scale[l * l : (l + 1) ** 2] = -1.0 / lam if model == "euler" else -1.0 / (lam * (1.0 + lam))
-        assert np.array_equal(solve_stream(W, eig16, model), eig16.compose(c * scale))
-    assert np.array_equal(solve_poisson(W, eig16), solve_stream(W, eig16, "euler"))
+        P = solve_stream(W, eig16, model)
+        assert np.linalg.norm(P + P.conj().T) <= 1e-14 * np.linalg.norm(P)
+
+
+def test_solve_stream_rejects_wrong_size(eig8):
+    with pytest.raises(ValueError):
+        solve_stream(np.zeros((9, 9)), eig8)
 
 
 def test_quantized_gradient_of_x3_generator():
