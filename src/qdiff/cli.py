@@ -211,7 +211,8 @@ def cmd_simulate(args):
     values = coeffs.values.copy()
     values[0] = 0.0  # constants do not move anything; keep W trace-free
     W0 = quantize(HarmonicCoefficients(coeffs.lmax, 1j * values), eig)
-    traj = evolve_vorticity(W0, eig, args.t_final, args.dt, args.integrator, args.model)
+    traj = evolve_vorticity(W0, eig, args.t_final, args.dt, args.integrator, args.model,
+                            keep_states=args.save_states)
     outputs = ["diagnostics.csv", "final_vorticity.qmat", "final_vorticity.qcoef"]
     with open(os.path.join(out, "diagnostics.csv"), "w", newline="", encoding="ascii") as fh:
         w = csv.writer(fh)

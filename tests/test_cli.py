@@ -119,6 +119,10 @@ def test_simulate_save_states_and_init(tmp_path):
                 "--init", init, "--save-states", "--out", out]) == 0
     for k in range(3):
         assert (out / f"state_{k:05d}.qmat").exists()
+    assert not (out / "state_00003.qmat").exists()
+    final = load_matrix(out / "final_vorticity.qmat")
+    assert np.array_equal(load_matrix(out / "state_00002.qmat"), final)
+    assert not np.array_equal(load_matrix(out / "state_00001.qmat"), final)
     with pytest.raises(SystemExit):
         run(["simulate", "--n", "8", "--dt", "0", "--out", out])
 

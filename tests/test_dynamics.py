@@ -5,6 +5,9 @@ reference in coefficient space and compares the matrix evolution
 against it after undoing the bracket time scale.
 """
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -28,7 +31,15 @@ from qdiff import (
     synthesize,
     vorticity_rhs,
 )
-from qdiff.dynamics import _sorted_eigs, _sorted_eigs_skew, _spectrum_for, act_density
+from qdiff import dynamics
+from qdiff.dynamics import (
+    FIXED_POINT_MAX_ITER,
+    FIXED_POINT_TOL,
+    _sorted_eigs,
+    _sorted_eigs_skew,
+    _spectrum_for,
+    act_density,
+)
 from qdiff.laplacian import LaplacianEigenbasis
 from conftest import eigenbasis
 
@@ -147,6 +158,100 @@ def test_isospectral_step_keeps_skew(eig16, rng):
     assert np.linalg.norm(W + W.conj().T) < 1e-10
 
 
+def _lu_midpoint_step(W, eig, h, model):
+    """Reference midpoint step whose fixed point solves for every iterate.
+
+    Each iterate is the exact Wt = (I - A)^-1 W (I + A)^-1 for the current
+    A = (h/2) Pt, by two LU solves.  Returns the new state and the number
+    of solve_stream calls made.
+    """
+    ident = np.eye(W.shape[0], dtype=np.complex128)
+    Pt = solve_stream(W, eig, model)
+    solves = 1
+    for _ in range(FIXED_POINT_MAX_ITER):
+        A = (0.5 * h) * Pt
+        Wt = np.linalg.solve(ident - A, W)
+        Wt = np.linalg.solve((ident + A).T, Wt.T).T
+        Pn = solve_stream(Wt, eig, model)
+        solves += 1
+        delta = np.linalg.norm(Pn - Pt)
+        Pt = Pn
+        if delta <= FIXED_POINT_TOL * max(1.0, np.linalg.norm(Pn)):
+            A = (0.5 * h) * Pt
+            Wt = np.linalg.solve(ident - A, W)
+            Wt = np.linalg.solve((ident + A).T, Wt.T).T
+            return (ident + A) @ Wt @ (ident - A), solves
+    raise RuntimeError("reference fixed point did not converge")
+
+
+def _count_stream_solves(monkeypatch, log):
+    inner = dynamics.solve_stream
+
+    def counted(*args, **kwargs):
+        log.append("stream")
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "solve_stream", counted)
+
+
+@pytest.mark.parametrize("N", [16, 64])
+@pytest.mark.parametrize("model", ["euler", "epdiff"])
+@pytest.mark.parametrize("h", [0.025, 0.1, 0.3])
+def test_matmul_fixed_point_matches_lu_form(N, model, h, rng, monkeypatch):
+    # norm 3 is the benchmark workloads' coefficient norm; the iteration
+    # counts may differ by one where the last iterate lands near the
+    # tolerance, since the two forms contract at different rates
+    eig = eigenbasis(N)
+    W = random_vorticity(N, 10, rng)
+    W *= 3.0 / np.linalg.norm(W)
+    ref = got = W
+    log = []
+    _count_stream_solves(monkeypatch, log)
+    for _ in range(3):
+        ref, want = _lu_midpoint_step(ref, eig, h, model)
+        log.clear()
+        got = step_isospectral_midpoint(got, eig, h, model)
+        assert abs(len(log) - want) <= 1
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_midpoint_step_solves_only_in_final_cayley(eig16, rng, monkeypatch):
+    W = random_vorticity(16, 6, rng)
+    log = []
+    _count_stream_solves(monkeypatch, log)
+    inner = np.linalg.solve
+
+    def counted(*args, **kwargs):
+        log.append("solve")
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    for _ in range(3):
+        log.clear()
+        W = step_isospectral_midpoint(W, eig16, 0.1)
+        assert log.count("solve") == 2
+        assert log[-2:] == ["solve", "solve"]  # after the last stream solve
+        assert log.count("stream") >= 3
+
+
+@pytest.mark.parametrize("N", [16, 64])
+def test_diverging_fixed_point_raises_without_warnings(N):
+    # the iterates overflow to inf, where an unguarded convergence test
+    # reads inf <= inf as converged and returns a zero state
+    rng = np.random.default_rng(10)
+    c = random_coefficients(10, rng, real=True)
+    c.values[0] = 0.0
+    c.values *= 300.0 / np.linalg.norm(c.values)
+    flat = np.zeros(N * N, dtype=np.complex128)
+    flat[: c.values.size] = c.values
+    W = eigenbasis(N).compose(1j * flat)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(RuntimeError):
+            step_isospectral_midpoint(W, eigenbasis(N), 8.0)
+    assert caught == []
+
+
 def test_steppers_agree_to_second_order(eig16, rng):
     W = random_vorticity(16, 6, rng)
     d = []
@@ -170,6 +275,36 @@ def test_evolve_records_diagnostics(eig16, rng):
     rows = tr.diagnostics_rows()
     assert len(rows) == 4 and rows[0][0] == 0
     assert abs(tr.enstrophy[-1] - tr.enstrophy[0]) < 1e-10
+
+
+@pytest.mark.parametrize("skew", [True, False])
+def test_enstrophy_equals_trace_of_square(eig16, rng, skew):
+    W = random_vorticity(16, 6, rng)
+    if not skew:
+        W = W + 1j * random_vorticity(16, 6, rng)
+    tr = evolve_vorticity(W, eig16, 0.2, 0.05, "isomp", "euler")
+    want = np.array([np.trace(S @ S) for S in tr.states])
+    assert np.max(np.abs(tr.enstrophy - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_evolve_without_states_keeps_memory_flat(eig64, rng):
+    # 300 kept states at N = 64 would take 300 * 64^2 * 16 B ~ 20 MB
+    W = random_vorticity(64, 6, rng)
+    W *= 3.0 / np.linalg.norm(W)
+    full = evolve_vorticity(W, eig64, 0.1, 0.01, "isomp", "euler")
+    tracemalloc.start()
+    try:
+        tr = evolve_vorticity(W, eig64, 3.0, 0.01, "isomp", "euler", keep_states=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert len(tr.states) == 1 and len(tr.times) == len(tr.eig_drift) == 301
+    assert len(tr.enstrophy) == len(tr.trace) == 301
+    short = evolve_vorticity(W, eig64, 0.1, 0.01, "isomp", "euler", keep_states=False)
+    assert len(short.states) == 1
+    assert np.array_equal(short.states[0], full.states[-1])
+    assert np.array_equal(short.enstrophy, full.enstrophy)
 
 
 def test_evolve_rejects_traceful(eig8):
