@@ -12,6 +12,7 @@ import csv
 import json
 import os
 import platform
+import resource
 import sys
 
 import numpy as np
@@ -109,12 +110,19 @@ def _ensure_out(args):
     return args.out
 
 
+def _peak_rss_mb():
+    """Peak resident memory of this process so far, in MiB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 2**20 if sys.platform == "darwin" else peak / 1024.0  # bytes on macOS, KiB elsewhere
+
+
 def _manifest(args, outputs):
     cfg = {k: v for k, v in vars(args).items() if k != "func"}
     cfg["version"] = __version__
     cfg["numpy"] = np.__version__
     cfg["python"] = platform.python_version()
     cfg["outputs"] = outputs
+    cfg["peak_rss_mb"] = _peak_rss_mb()
     path = os.path.join(args.out, "manifest.json")
     with open(path, "w", encoding="ascii") as fh:
         json.dump(cfg, fh, indent=2, sort_keys=True, default=str)

@@ -4,7 +4,7 @@ All multi-byte values are little-endian float64; complex data is stored
 as interleaved real/imaginary pairs (the native complex128 layout),
 matrices row-major.  Headers are a single ASCII line of
 space-separated key=value tokens starting with the format tag, so every
-container is parseable with a line read plus frombuffer.
+container is parseable with a line read plus one readinto.
 
 Formats: qmat-v1 (square complex matrix), qcoef-v1 (harmonic
 coefficients), qgrid-v1 (Gauss grid samples with nodes and weights),
@@ -12,11 +12,16 @@ qmesh-v1 (triangle mesh with optional per-face scalars), qeig-v1
 (Laplacian eigenbasis band cache), plus binary PPM rasters.
 """
 
+import os
+
 import numpy as np
 
 from .laplacian import LaplacianEigenbasis
 from .quantization import GridField, HarmonicCoefficients
 from .reference_flows import TriMesh
+
+# longest header line accepted; real headers are well under 100 bytes
+_HEADER_MAX = 4096
 
 
 def _write(path, tag, fields, chunks):
@@ -28,12 +33,23 @@ def _write(path, tag, fields, chunks):
 
 
 def _read(path, tag):
+    """Header fields and the payload, a private uint8 array filled by one readinto.
+
+    The payload buffer is sized from the file's length, never from header
+    integers, so no header can make a load allocate more than the file
+    holds.  Loaders return views into it rather than copies.
+    """
     with open(path, "rb") as fh:
-        head = fh.readline().decode("ascii").strip()
-        payload = fh.read()
-    parts = head.split()
-    if not parts or parts[0] != tag:
-        raise ValueError(f"{path}: expected a {tag} container")
+        line = fh.readline(_HEADER_MAX)
+        if len(line) == _HEADER_MAX and not line.endswith(b"\n"):
+            raise ValueError(f"{path}: header line is longer than {_HEADER_MAX} bytes")
+        parts = line.decode("ascii").split()
+        if not parts or parts[0] != tag:
+            raise ValueError(f"{path}: expected a {tag} container")
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        payload = np.empty(size, dtype=np.uint8)
+        if fh.readinto(payload) != payload.size or fh.read(1):
+            raise ValueError(f"{path}: payload does not match the file size")
     fields = {}
     for tok in parts[1:]:
         k, _, v = tok.partition("=")
@@ -52,14 +68,24 @@ def _header_int(path, fields, key, minimum):
     return value
 
 
-def _take(payload, offset, dtype, count):
-    arr = np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
-    return arr, offset + count * arr.itemsize
+def _expect(path, payload, nbytes):
+    if nbytes != payload.size:
+        raise ValueError(f"{path}: payload is {payload.size} bytes, header implies {nbytes}")
 
 
-def _end(path, payload, offset):
-    if offset != len(payload):
-        raise ValueError(f"{path}: payload is {len(payload)} bytes, header implies {offset}")
+def _split(path, payload, layout):
+    """Consecutive views of `payload` as the arrays that (dtype, count) pairs describe.
+
+    The length the layout implies is checked against the payload before
+    any view is made.
+    """
+    sizes = [np.dtype(dtype).itemsize * count for dtype, count in layout]
+    _expect(path, payload, sum(sizes))
+    views, off = [], 0
+    for (dtype, _), nbytes in zip(layout, sizes):
+        views.append(payload[off : off + nbytes].view(dtype))
+        off += nbytes
+    return views
 
 
 def save_matrix(path, M):
@@ -77,9 +103,8 @@ def save_matrix(path, M):
 def load_matrix(path):
     fields, payload = _read(path, "qmat-v1")
     n = _header_int(path, fields, "n", 1)
-    arr, off = _take(payload, 0, np.complex128, n * n)
-    _end(path, payload, off)
-    return arr.reshape(n, n).copy()
+    (arr,) = _split(path, payload, [(np.complex128, n * n)])
+    return arr.reshape(n, n)
 
 
 def save_coefficients(path, coeffs):
@@ -94,9 +119,8 @@ def save_coefficients(path, coeffs):
 def load_coefficients(path):
     fields, payload = _read(path, "qcoef-v1")
     lmax = _header_int(path, fields, "lmax", 0)
-    arr, off = _take(payload, 0, np.complex128, (lmax + 1) ** 2)
-    _end(path, payload, off)
-    return HarmonicCoefficients(lmax, arr.copy())
+    (arr,) = _split(path, payload, [(np.complex128, (lmax + 1) ** 2)])
+    return HarmonicCoefficients(lmax, arr)
 
 
 def save_grid(path, field):
@@ -104,20 +128,18 @@ def save_grid(path, field):
         path,
         "qgrid-v1",
         [("nlat", field.nlat), ("nlon", field.nlon), ("precision", "binary64")],
-        [field.colat, field.weights, field.lon, field.values],
+        [np.asarray(field.colat, dtype=np.float64), np.asarray(field.weights, dtype=np.float64),
+         np.asarray(field.lon, dtype=np.float64), np.asarray(field.values, dtype=np.complex128)],
     )
 
 
 def load_grid(path):
     fields, payload = _read(path, "qgrid-v1")
     nlat, nlon = _header_int(path, fields, "nlat", 1), _header_int(path, fields, "nlon", 1)
-    off = 0
-    colat, off = _take(payload, off, np.float64, nlat)
-    weights, off = _take(payload, off, np.float64, nlat)
-    lon, off = _take(payload, off, np.float64, nlon)
-    values, off = _take(payload, off, np.complex128, nlat * nlon)
-    _end(path, payload, off)
-    return GridField(colat.copy(), lon.copy(), weights.copy(), values.reshape(nlat, nlon).copy())
+    colat, weights, lon, values = _split(path, payload, [
+        (np.float64, nlat), (np.float64, nlat), (np.float64, nlon), (np.complex128, nlat * nlon),
+    ])
+    return GridField(colat, lon, weights, values.reshape(nlat, nlon))
 
 
 def save_mesh(path, mesh):
@@ -136,32 +158,32 @@ def save_mesh(path, mesh):
 def load_mesh(path):
     fields, payload = _read(path, "qmesh-v1")
     nv, nf = _header_int(path, fields, "nv", 0), _header_int(path, fields, "nf", 0)
-    off = 0
-    verts, off = _take(payload, off, np.float64, 3 * nv)
-    faces, off = _take(payload, off, np.int64, 3 * nf)
-    scalars = None
+    layout = [(np.float64, 3 * nv), (np.int64, 3 * nf)]
     if int(fields.get("scalars", "0")):
-        scalars, off = _take(payload, off, np.float64, nf)
-        scalars = scalars.copy()
-    _end(path, payload, off)
-    return TriMesh(verts.reshape(nv, 3).copy(), faces.reshape(nf, 3).copy(), scalars)
+        layout.append((np.float64, nf))
+    verts, faces, *scalars = _split(path, payload, layout)
+    return TriMesh(verts.reshape(nv, 3), faces.reshape(nf, 3), scalars[0] if scalars else None)
 
 
 def save_eigenbasis(path, eig):
-    chunks = [band for band in eig.bands]
+    chunks = [np.asarray(band, dtype=np.float64) for band in eig.bands]
     _write(path, "qeig-v1", [("n", eig.N), ("precision", "binary64")], chunks)
 
 
 def load_eigenbasis(path):
+    """The cached basis; its bands are read-only views into one buffer."""
     fields, payload = _read(path, "qeig-v1")
     N = _header_int(path, fields, "n", 1)
-    off = 0
+    # band m holds (N - m)^2 values: N (N + 1) (2N + 1) / 6 in all
+    _expect(path, payload, 8 * (N * (N + 1) * (2 * N + 1) // 6))
+    payload.flags.writeable = False
+    flat = payload.view(np.float64)
     bands = []
+    off = 0
     for m in range(N):
         size = N - m
-        band, off = _take(payload, off, np.float64, size * size)
-        bands.append(band.reshape(size, size).copy())
-    _end(path, payload, off)
+        bands.append(flat[off : off + size * size].reshape(size, size))
+        off += size * size
     return LaplacianEigenbasis(N=N, bands=tuple(bands))
 
 

@@ -86,13 +86,20 @@ class LaplacianEigenbasis:
             raise ValueError("matrix size does not match the basis")
         N = self.N
         out = np.empty(N * N, dtype=np.complex128)
+        out_ri = out.view(np.float64).reshape(N * N, 2)  # (re, im) rows of out
         for m in range(N):
             Vm = self.bands[m]
             ls = np.arange(m, N)
             flat = ls * ls + ls
-            out[flat + m] = Vm.T @ np.diagonal(M, -m)
-            if m > 0:
-                out[flat - m] = (-1.0) ** m * (Vm.T @ np.diagonal(M, m))
+            # one real product per band: the real band never becomes complex
+            lo = np.diagonal(M, -m)
+            if m == 0:
+                out_ri[flat] = Vm.T @ np.stack([lo.real, lo.imag], axis=1)
+                continue
+            up = np.diagonal(M, m)
+            r = Vm.T @ np.stack([lo.real, lo.imag, up.real, up.imag], axis=1)
+            out_ri[flat + m] = r[:, :2]
+            out_ri[flat - m] = (-1.0) ** m * r[:, 2:]
         return out
 
     def compose(self, coeffs):
@@ -107,9 +114,14 @@ class LaplacianEigenbasis:
             ls = np.arange(m, N)
             flat = ls * ls + ls
             i = np.arange(N - m)
-            M[i + m, i] = Vm @ coeffs[flat + m]
-            if m > 0:
-                M[i, i + m] = (-1.0) ** m * (Vm @ coeffs[flat - m])
+            # an all-zero half-band stays zero; skipping it leaves every
+            # other entry's product bit for bit as it was
+            lower = coeffs[flat + m]
+            if lower.any():
+                M[i + m, i] = Vm @ lower
+            upper = coeffs[flat - m]
+            if m > 0 and upper.any():
+                M[i, i + m] = (-1.0) ** m * (Vm @ upper)
         return M
 
 

@@ -59,6 +59,12 @@ def test_basis_check_passes_and_reports(tmp_path, capsys):
     assert "version" in cfg
 
 
+def test_manifest_records_peak_memory(tmp_path):
+    assert run(["simulate", "--n", "8", "--t-final", "0.1", "--dt", "0.05", "--out", tmp_path]) == 0
+    peak = json.loads((tmp_path / "manifest.json").read_text())["peak_rss_mb"]
+    assert isinstance(peak, float) and np.isfinite(peak) and peak > 0.0
+
+
 def test_eigenbasis_cache_roundtrip(tmp_path):
     cache = tmp_path / "basis.qeig"
     assert run(["basis-check", "--n", "8", "--out", tmp_path / "a",

@@ -252,6 +252,32 @@ def test_diverging_fixed_point_raises_without_warnings(N):
     assert caught == []
 
 
+def test_stalled_matmul_fixed_point_falls_back_to_lu_form(eig64, monkeypatch):
+    # at (h/2) ||P||_2 ~ 0.65 the product iteration runs out of iterations
+    # while the LU form converges (in 41); the step must still land there
+    c = random_coefficients(12, np.random.default_rng(1), real=True)
+    c.values[0] = 0.0
+    c.values *= 30.0 / np.linalg.norm(c.values)
+    flat = np.zeros(64 * 64, dtype=np.complex128)
+    flat[: c.values.size] = c.values
+    W = eig64.compose(1j * flat)
+    ref, _ = _lu_midpoint_step(W, eig64, 2.0, "euler")
+    log = []
+    inner = np.linalg.solve
+
+    def counted(*args, **kwargs):
+        log.append("solve")
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = step_isospectral_midpoint(W, eig64, 2.0)
+    assert caught == []
+    assert len(log) > 2  # the LU form ran, not only the final Cayley map
+    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
 def test_steppers_agree_to_second_order(eig16, rng):
     W = random_vorticity(16, 6, rng)
     d = []

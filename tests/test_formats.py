@@ -1,10 +1,17 @@
 """Bit-exact container round trips and header validation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdiff import (
+    GridField,
     HarmonicCoefficients,
+    LaplacianEigenbasis,
+    TriMesh,
     build_eigenbasis,
     gauss_grid,
     icosasphere,
@@ -60,6 +67,15 @@ def test_grid_roundtrip(tmp_path, rng):
     assert np.array_equal(back.values, f.values)
 
 
+def test_grid_with_real_samples_is_saved_as_complex(tmp_path):
+    f = GridField(np.array([0.5]), np.array([0.0, 3.0]), np.array([2.0]), np.array([[1.0, -2.0]]))
+    p = tmp_path / "f.qgrid"
+    save_grid(p, f)
+    back = load_grid(p)
+    assert back.values.dtype == np.complex128
+    assert np.array_equal(back.values, f.values)
+
+
 def test_mesh_roundtrip_with_and_without_scalars(tmp_path, rng):
     m = icosasphere(1)
     p = tmp_path / "m.qmesh"
@@ -84,6 +100,46 @@ def test_eigenbasis_roundtrip(tmp_path):
     assert len(back.bands) == 12
     for a, b in zip(back.bands, eig.bands):
         assert np.array_equal(a, b)
+
+
+def _traced_peak(load, path):
+    """(outcome, peak bytes traced while `load(path)` ran); outcome is the
+    loaded object or the exception raised."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        try:
+            outcome = load(path)
+        except Exception as exc:  # the caller checks the type
+            outcome = exc
+        return outcome, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_eigenbasis_load_allocates_the_payload_once(tmp_path, eig64):
+    p = tmp_path / "e.qeig"
+    save_eigenbasis(p, eig64)
+    payload = sum(band.nbytes for band in eig64.bands)
+    back, peak = _traced_peak(load_eigenbasis, p)
+    assert back.N == 64
+    assert peak <= 1.1 * payload
+
+
+def test_loaded_bands_are_read_only_views_of_one_buffer(tmp_path):
+    eig = build_eigenbasis(7)
+    p = tmp_path / "e.qeig"
+    save_eigenbasis(p, eig)
+    back = load_eigenbasis(p)
+    base = back.bands[0].base
+    assert base.nbytes == sum(band.nbytes for band in eig.bands)
+    for band in back.bands:
+        assert band.base is base
+        assert not band.flags.writeable
+        with pytest.raises(ValueError):
+            band[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            band.flags.writeable = True
 
 
 def test_wrong_tag_is_refused(tmp_path, rng):
@@ -123,6 +179,116 @@ def test_header_integers_are_range_checked(tmp_path, load, header, payload_bytes
     p.write_bytes(header.encode("ascii") + b"\n" + b"\0" * payload_bytes)
     with pytest.raises(ValueError):
         load(p)
+
+
+LOADERS = {
+    "qmat-v1": (load_matrix, ("n",)),
+    "qcoef-v1": (load_coefficients, ("lmax",)),
+    "qgrid-v1": (load_grid, ("nlat", "nlon")),
+    "qmesh-v1": (load_mesh, ("nv", "nf", "scalars")),
+    "qeig-v1": (load_eigenbasis, ("n",)),
+}
+# a load may allocate the file's bytes plus this much for the reader's
+# own buffer and the returned objects, never what a header integer asks
+LOAD_SLACK = 64 * 1024
+HUGE = 2**40
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "f"
+
+
+def _assert_refused_or_loaded(load, path, file_size):
+    outcome, peak = _traced_peak(load, path)
+    if isinstance(outcome, Exception):
+        assert isinstance(outcome, ValueError), repr(outcome)
+    assert peak <= file_size + LOAD_SLACK
+
+
+header_value = st.one_of(
+    st.integers(-2, 6).map(str),
+    st.integers(HUGE, 2**70).map(str),
+    st.sampled_from(["", "x", "1e3", "0x10", "-0", "+3", "1_0", "=", "\xff"]),
+)
+
+
+@st.composite
+def random_container(draw):
+    tag = draw(st.sampled_from(sorted(LOADERS)))
+    load, keys = LOADERS[tag]
+    tokens = [draw(st.sampled_from([tag, tag, tag, "", "qmat-v2", tag.upper()]))]
+    for key in keys:
+        if draw(st.integers(0, 9)):  # mostly present
+            tokens.append(f"{key}={draw(header_value)}")
+    tokens += draw(st.lists(st.sampled_from(["layout=row-major", "x", "=", "n=1"]), max_size=2))
+    head = " ".join(tokens).encode("latin-1")
+    if draw(st.integers(0, 9)):
+        head += b"\n"
+    words = draw(st.integers(0, 64))
+    payload = draw(st.binary(min_size=8 * words, max_size=8 * words))
+    payload += draw(st.binary(max_size=draw(st.sampled_from([0, 0, 7]))))
+    return load, head + payload
+
+
+@settings(deadline=None, max_examples=300)
+@given(random_container())
+def test_random_headers_load_or_raise_value_error(fuzz_file, container):
+    load, data = container
+    fuzz_file.write_bytes(data)
+    _assert_refused_or_loaded(load, fuzz_file, len(data))
+
+
+@st.composite
+def valid_container(draw):
+    small = st.integers(1, 5)
+    kind = draw(st.sampled_from(sorted(LOADERS)))
+    if kind == "qmat-v1":
+        return save_matrix, load_matrix, np.zeros((draw(small),) * 2)
+    if kind == "qcoef-v1":
+        return save_coefficients, load_coefficients, HarmonicCoefficients.zeros(draw(small))
+    if kind == "qgrid-v1":
+        nlat, nlon = draw(small), draw(small)
+        return save_grid, load_grid, GridField(
+            np.zeros(nlat), np.zeros(nlon), np.zeros(nlat), np.zeros((nlat, nlon)))
+    if kind == "qmesh-v1":
+        nv, nf = draw(small), draw(st.integers(0, 5))
+        scalars = np.zeros(nf) if draw(st.booleans()) else None
+        return save_mesh, load_mesh, TriMesh(np.zeros((nv, 3)), np.zeros((nf, 3), int), scalars)
+    N = draw(small)
+    bands = tuple(np.zeros((N - m, N - m)) for m in range(N))
+    return save_eigenbasis, load_eigenbasis, LaplacianEigenbasis(N=N, bands=bands)
+
+
+@settings(deadline=None, max_examples=200)
+@given(valid_container(), st.integers(1, 40), st.binary(min_size=1, max_size=40), st.booleans())
+def test_truncated_or_extended_payloads_raise_value_error(fuzz_file, container, cut, extra, truncate):
+    save, load, obj = container
+    save(fuzz_file, obj)
+    load(fuzz_file)  # the intact file loads
+    data = fuzz_file.read_bytes()
+    payload_size = len(data) - data.index(b"\n") - 1
+    if truncate:
+        data = data[: len(data) - min(cut, payload_size)]
+    else:
+        data += extra
+    fuzz_file.write_bytes(data)
+    outcome, peak = _traced_peak(load, fuzz_file)
+    assert isinstance(outcome, ValueError), repr(outcome)
+    assert peak <= len(data) + LOAD_SLACK
+
+
+def test_header_integers_never_size_an_allocation(tmp_path):
+    # each header implies terabytes against a payload of 64 bytes
+    for header in (f"qmat-v1 n={HUGE}", f"qcoef-v1 lmax={HUGE}", f"qgrid-v1 nlat={HUGE} nlon=2",
+                   f"qmesh-v1 nv={HUGE} nf=1 scalars=1", f"qeig-v1 n={HUGE}"):
+        p = tmp_path / "big"
+        data = header.encode("ascii") + b"\n" + b"\0" * 64
+        p.write_bytes(data)
+        load = LOADERS[header.split()[0]][0]
+        outcome, peak = _traced_peak(load, p)
+        assert isinstance(outcome, ValueError), repr(outcome)
+        assert peak <= len(data) + LOAD_SLACK
 
 
 def test_empty_mesh_is_legal(tmp_path):

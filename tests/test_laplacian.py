@@ -9,6 +9,7 @@ from qdiff import (
     apply_laplacian_band,
     build_eigenbasis,
     quantized_gradient,
+    random_coefficients,
     sh_index,
     solve_poisson,
     solve_stream,
@@ -118,6 +119,54 @@ def test_decompose_picks_out_basis_vectors(eig8):
         e = np.zeros(64)
         e[sh_index(l, m)] = 1.0
         assert np.max(np.abs(c - e)) < 1e-12
+
+
+def _decompose_complex(eig, M):
+    """decompose in complex arithmetic, each band promoted to complex."""
+    N = eig.N
+    out = np.empty(N * N, dtype=np.complex128)
+    for m in range(N):
+        Vm = eig.bands[m].astype(np.complex128)
+        ls = np.arange(m, N)
+        out[ls * ls + ls + m] = Vm.T @ np.diagonal(M, -m)
+        out[ls * ls + ls - m] = (-1.0) ** m * (Vm.T @ np.diagonal(M, m))
+    return out
+
+
+def _compose_every_band(eig, coeffs):
+    """compose with a product for every half-band, zero or not."""
+    N = eig.N
+    M = np.zeros((N, N), dtype=np.complex128)
+    for m in range(N):
+        Vm = eig.bands[m]
+        ls = np.arange(m, N)
+        i = np.arange(N - m)
+        M[i + m, i] = Vm @ coeffs[ls * ls + ls + m]
+        if m > 0:
+            M[i, i + m] = (-1.0) ** m * (Vm @ coeffs[ls * ls + ls - m])
+    return M
+
+
+@pytest.mark.parametrize("N", [1, 2, 17, 64])
+def test_decompose_matches_complex_arithmetic(N, rng):
+    eig = eigenbasis(N)
+    M = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    want = _decompose_complex(eig, M)
+    assert np.linalg.norm(eig.decompose(M) - want) <= 1e-14 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("lmax", [0, 3, 12, 63])
+@pytest.mark.parametrize("real", [True, False])
+def test_compose_skipping_empty_bands_is_exact(lmax, real, eig64, rng):
+    # lmax 63 fills every band; below it the bands |m| > lmax are empty;
+    # keeping odd m empties band 0, keeping m <= 0 every lower half-band
+    flat = np.zeros(64 * 64, dtype=np.complex128)
+    flat[: (lmax + 1) ** 2] = random_coefficients(lmax, rng, real=real).values
+    k = np.arange(flat.size)
+    l = np.floor(np.sqrt(k)).astype(int)
+    m = k - l * l - l
+    for c in (flat, np.where(m % 2 == 1, flat, 0.0), np.where(m <= 0, flat, 0.0)):
+        assert np.array_equal(eig64.compose(c), _compose_every_band(eig64, c))
 
 
 def test_rotation_equivariance_of_eigenspaces(eig16, rng):
