@@ -66,9 +66,29 @@ class BlobTrajectory:
         return [self.blob(k) for k in range(len(self.vectors))]
 
     def centers(self, basis):
-        from .quantization import blob_center
+        """Unit centers of every state, as rows.
 
-        return np.array([blob_center(basis, self.blob(k)) for k in range(len(self.vectors))])
+        The center of B = i v v* is c_k = Re(v* C_k v) / ||v||^2, then
+        normalized: quantization.blob_center of each dense blob, found
+        with one (states x N) product per coordinate matrix C_k and no
+        dense blob.  Raises the same ValueError for a state without a
+        usable center.
+        """
+        V = self.vectors
+        re, im = V.real, V.imag
+
+        def real_vdots(Y):  # Re(v* y) for each row pair
+            return np.einsum("sn,sn->s", re, Y.real) + np.einsum("sn,sn->s", im, Y.imag)
+
+        w = real_vdots(V)
+        if not w.all():
+            raise ValueError("degenerate blob: trace too small to normalize")
+        c = np.stack([real_vdots(V @ Ck.T) for Ck in basis.coordinate_matrices()], axis=1)
+        c /= w[:, None]
+        n = np.linalg.norm(c, axis=1)
+        if np.any(n < 1e-8):
+            raise ValueError("degenerate blob: center vector vanishes")
+        return c / n[:, None]
 
 
 def transport_blob(basis, P, B0, n_steps=200, h=1.0):

@@ -26,6 +26,12 @@ solve_stream inverts it band by band with cached LDL^T factors in O(N^2)
 per call (Modin & Viviani, JFM 884, 2020; Cifani, Viviani & Modin, JCP
 473, 2023).  The eigenbasis is needed only to move between matrices and
 harmonic coefficients (quantize/dequantize), not to solve.
+
+build_eigenbasis costs O(N^3): its eigenvalues l(l+1) are known exactly,
+so every band m >= 1 is solved by a twisted factorization of the same
+closed-form tridiagonal, O(N) per eigenvector.  Band 0 alone stays on a
+dense eigh, bit for bit as before, because the density path reads only
+band 0 and criterion 6 is decided at roundoff.
 """
 
 from dataclasses import dataclass
@@ -33,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spin_basis import SpinBasis, ladder_amplitudes
+from .spin_basis import SpinBasis, ladder_amplitudes, ladder_amplitudes_squared
 
 
 def sh_index(l, m):
@@ -126,36 +132,128 @@ class LaplacianEigenbasis:
 
 
 def build_eigenbasis(N):
-    """Construct the orthonormal eigenmatrix basis for size N.
+    """Construct the orthonormal eigenmatrix basis for size N, in O(N^3).
 
-    Each band is diagonalized directly (minus the Laplacian restricted to
-    a band is a small symmetric matrix with simple spectrum l(l+1),
-    l = m..N-1), which stays accurate at large N where a pure ladder
-    recursion drifts. The raising ladder is still used to pin each
-    column's sign so the phase convention propagates across bands.
+    Minus the Laplacian restricted to band m is a symmetric tridiagonal
+    (_band_tridiagonal) with simple spectrum l(l+1), l = m..N-1, known
+    exactly.  Each band m >= 1 is solved by a twisted factorization
+    shifted by those eigenvalues, O(N) per eigenvector (_twisted_bands).
+    Band 0 stays on a dense eigh of U0^T U0 with its arithmetic unchanged:
+    the density path reads band 0 alone, and criterion 6 is decided at
+    roundoff there.  The raising ladder pins each column's sign so the
+    phase convention propagates across bands.
     """
     if N < 1:
         raise ValueError("matrix size must be at least 1")
-    bands = []
-    for m in range(N):
-        n = N - m
-        Um = band_ladder_up(N, m, np.eye(n))
-        if m == 0:
-            L = Um.T @ Um
-        else:
-            Up = band_ladder_up(N, m - 1, np.eye(n + 1))
-            L = m * m * np.eye(n) + 0.5 * (Um.T @ Um + Up @ Up.T)
-        vals, V = np.linalg.eigh(L)
-        V = V[:, np.argsort(vals)]
-        if m == 0:
-            # the band-0 tridiagonal is unreduced, so no eigenvector
-            # endpoint vanishes; make the north (last) entry positive
-            sgn = np.where(V[-1, :] < 0.0, -1.0, 1.0)
-        else:
-            W = band_ladder_up(N, m - 1, bands[m - 1][:, 1:])
-            sgn = np.where(np.sum(V * W, axis=0) < 0.0, -1.0, 1.0)
-        bands.append(V * sgn)
+    Um = band_ladder_up(N, 0, np.eye(N))
+    vals, V = np.linalg.eigh(Um.T @ Um)
+    V = V[:, np.argsort(vals)]
+    # the band-0 tridiagonal is unreduced, so no eigenvector endpoint
+    # vanishes; make the north (last) entry positive
+    bands = [V * np.where(V[-1, :] < 0.0, -1.0, 1.0)]
+    m = 1
+    while m < N:
+        n0 = N - m
+        c = min(n0, max(1, _TWIST_CHUNK // (n0 * n0)))
+        z = _twisted_bands(N, m, c)
+        for i in range(c):
+            V = z[: n0 - i, i, i:]
+            W = band_ladder_up(N, m + i - 1, bands[-1][:, 1:])
+            bands.append(V * np.where(np.sum(V * W, axis=0) < 0.0, -1.0, 1.0))
+        m += c
     return LaplacianEigenbasis(N=N, bands=tuple(bands))
+
+
+# Bands are solved a chunk at a time: c bands of n0 columns, with c n0^2
+# at most this many float64 entries (0.5 MiB) once n0 <= 256.  The working
+# arrays hold three times that, so a build needs ~3 MiB beyond its bands.
+_TWIST_CHUNK = 1 << 16
+# An exact shift can make a pivot exactly zero.  Subtracting _PIVMIN from
+# every pivot moves it to -_PIVMIN, as LAPACK's dlar1v does, so the
+# recurrences stay finite; pivots above 1e-264 in size are left unchanged.
+_PIVMIN = 1e-280
+
+
+def _band_tridiagonal(N, b, j):
+    """Diagonal and squared coupling of -Delta on band b at position j.
+
+    Entry j of a band-b vector couples to j - 1 and j + 1 only; e2 is the
+    square of the coupling of (j - 1, j), zero at j = 0, and the coupling
+    itself is -sqrt(e2).  Both follow in closed form from the squared
+    ladder amplitudes and are exact in floating point (multiples of 1/16
+    below 2^53).  b and j broadcast.
+    """
+    x = np.zeros(N + 1)
+    x[1:N] = ladder_amplitudes_squared(N)  # x[k + 1] = a[k]^2, zero out of range
+    diag = b * b + 0.5 * (x[b + j + 1] + x[j] + x[b + j] + x[j + 1])
+    return diag, x[j] * x[b + j]
+
+
+def _twisted_bands(N, m0, c):
+    """Unit eigenvectors of bands m0..m0+c-1 by twisted factorization.
+
+    Returns z of shape (n0, c, n0), n0 = N - m0: z[:n0 - i, i, j] is the
+    eigenvector of band m0 + i for l = m0 + j, j >= i (Dhillon & Parlett,
+    SIMAX 25, 858, 2004).  Shorter bands are padded with decoupled rows
+    below their end, columns j < i repeat the shift of column i, and
+    neither is read.
+
+    For a shift lam the stationary pivots D+ (top down) and progressive
+    pivots D- (bottom up) factor T - lam from both ends.  The twist r
+    minimizes |gamma| = |D+ + D- - (T - lam)|, and the vector with entry r
+    set to 1 follows from D+ above r and from D- below it.  The
+    coefficients and the shifts are exact, so the pivots carry only the
+    rounding of their own recurrences; with rounded coefficients the
+    vectors lose up to an order of magnitude in orthogonality at N = 256.
+    """
+    n0 = N - m0
+    k = np.arange(n0)[:, None, None]
+    b = m0 + np.arange(c)[:, None]
+    l = m0 + np.arange(n0)
+    lam = np.where(l >= b, l * (l + 1.0), b * (b + 1.0))
+    inside = k < N - b
+    diag, e2 = _band_tridiagonal(N, b, np.minimum(k, N - b - 1))
+    # padding rows are decoupled, with a diagonal below every shift
+    diag = np.where(inside, diag, -1.0)
+    e2 = np.where(inside, e2, 0.0)
+    # D[:, 0] holds the sweep down the rows and D[:, 1] the sweep up the
+    # reversed rows, so one loop makes both; each starts as T - lam
+    D = np.empty((n0, 2, c, n0))
+    np.subtract(diag, lam, out=D[:, 0])
+    np.subtract(diag[::-1], lam, out=D[:, 1])
+    E = np.zeros((n0, 2, c, 1))
+    E[:, 0] = e2
+    E[1:, 1] = e2[:0:-1]
+    D[0] -= _PIVMIN
+    t = np.empty((2, c, n0))
+    for i in range(1, n0):
+        np.divide(E[i], D[i - 1], out=t)
+        D[i] -= t
+        D[i] -= _PIVMIN
+    fwd, bwd = D[:, 0], D[::-1, 1]
+    gamma = fwd + bwd
+    gamma -= diag
+    gamma += lam
+    r = np.argmin(np.abs(gamma, out=gamma), axis=0)
+    del gamma
+    # the couplings are -g: above r, z[k] = z[k + 1] g[k + 1] / D+[k], and
+    # below it z[k] = z[k - 1] g[k] / D-[k].  Both ratios overwrite their
+    # pivots and are multiplied out down D[::-1], from the bottom for
+    # z = D[:, 0] and from the top for lower = D[::-1, 1]
+    g = np.sqrt(e2)
+    up = np.zeros_like(g)
+    up[:-1] = g[1:]
+    z, lower = fwd, bwd
+    np.divide(up, z, out=z)
+    np.copyto(z, 1.0, where=k >= r)
+    np.divide(g, lower, out=lower)
+    np.copyto(lower, 1.0, where=k <= r)
+    chains = D[::-1]
+    for i in range(1, n0):
+        np.multiply(chains[i - 1], chains[i], out=chains[i])
+    z *= lower
+    z /= np.sqrt(np.einsum("kbc,kbc->bc", z, z))
+    return z
 
 
 def band_ladder_up(N, m, t):
@@ -218,30 +316,36 @@ def _skew_index(N):
 def _band_factors(N, shift):
     """LDL^T factors of shift*I - Delta on every column of the skewed layout.
 
-    Band b's entry j couples to j-1 and j+1 only; the coefficients come in
-    closed form from the ladder amplitudes (the matrix build_eigenbasis
-    diagonalizes), and the superdiagonal band b obeys the same operator
-    as the subdiagonal one.  With shift = 0, band 0 is singular (its null
+    Band b's entry j couples to j-1 and j+1 only, with the closed-form
+    coefficients of _band_tridiagonal (the matrices build_eigenbasis
+    solves), and the superdiagonal band b obeys the same operator as the
+    subdiagonal one.  With shift = 0, band 0 is singular (its null
     vector is the constant, the l = 0 mode), so its last entry is pinned
     to zero.  Returns (lower, dinv): lower[r] multiplies row r-1 in the
     elimination of row r, dinv holds the reciprocal pivots.
     """
-    amp = np.zeros(N + 1)
-    amp[1:N] = ladder_amplitudes(N)  # amp[k + 1] = a[k], zero out of range
-    i = np.arange(N)[:, None]
     m = np.arange(N)
-    b = np.where(i < N - m, m, N - m)  # band held by entry (i, m)
-    j = np.where(i < N - m, i, i - (N - m))  # position along that band
-    diag = shift + b * b + 0.5 * (amp[b + j + 1] ** 2 + amp[j] ** 2 + amp[b + j] ** 2 + amp[j + 1] ** 2)
-    off = -amp[j] * amp[b + j]  # coupling of (i - 1, i); zero where j = 0
-    if shift == 0.0:
-        diag[N - 1, 0] = 1.0
-        off[N - 1, 0] = 0.0
     lower = np.zeros((N, N))
-    for r in range(1, N):
-        lower[r] = off[r] / diag[r - 1]
-        diag[r] -= lower[r] * off[r]
-    return lower, 1.0 / diag
+    dinv = np.empty((N, N))
+    # 32 rows at a time, so no N x N temporaries: at N = 256 they left the
+    # heap fragmented enough to raise a whole EPDiff run's peak RSS
+    for r0 in range(0, N, 32):
+        i = np.arange(r0, min(N, r0 + 32))[:, None]
+        b = np.where(i < N - m, m, N - m)  # band held by entry (i, m)
+        j = np.where(i < N - m, i, i - (N - m))  # position along that band
+        diag, e2 = _band_tridiagonal(N, b, j)
+        diag += shift
+        off = -np.sqrt(e2)  # coupling of (i - 1, i); zero where j = 0
+        if shift == 0.0 and i[-1, 0] == N - 1:
+            diag[-1, 0] = 1.0
+            off[-1, 0] = 0.0
+        for k in range(len(i)):
+            if r0 + k > 0:
+                lower[r0 + k] = off[k] / pivot
+                diag[k] -= lower[r0 + k] * off[k]
+            pivot = diag[k]
+        dinv[r0 : r0 + len(i)] = 1.0 / diag
+    return lower, dinv
 
 
 def _band_solve(T, shift):

@@ -22,9 +22,14 @@ from ._expm import expm
 
 def ladder_amplitudes(N):
     """a_i = sqrt(s(s+1) - m_i (m_i + 1)) for m_i = -s + i, i = 0..N-2."""
+    return np.sqrt(ladder_amplitudes_squared(N))
+
+
+def ladder_amplitudes_squared(N):
+    """a_i^2 = s(s+1) - m_i (m_i + 1), exact in floating point (multiples of 1/4)."""
     s = (N - 1) / 2.0
     m = -s + np.arange(N - 1)
-    return np.sqrt(s * (s + 1) - m * (m + 1))
+    return s * (s + 1) - m * (m + 1)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from qdiff import (
+    BlobTrajectory,
     SpinBasis,
     blob_at,
+    blob_center,
     blob_components,
     blob_step,
     example_generator,
@@ -129,6 +131,26 @@ def test_centers_shape_and_normalization():
     c = tr.centers(basis)
     assert c.shape == (len(tr.blobs), 3)
     assert np.max(np.abs(np.linalg.norm(c, axis=1) - 1.0)) < 1e-9
+
+
+@pytest.mark.parametrize("N", [16, 64])
+def test_centers_match_blob_center(N):
+    basis = SpinBasis(N)
+    P = quantize_generator(example_generator(), eigenbasis(N))
+    y = np.array([0.6, -0.48, -0.64])
+    tr = transport_blob(basis, P, blob_at(basis, y / np.linalg.norm(y)), n_steps=30, h=1.0)
+    want = np.array([blob_center(basis, B) for B in tr.blobs])
+    assert np.max(np.abs(tr.centers(basis) - want)) <= 1e-14
+
+
+def test_centers_reject_vanishing_center():
+    # the m = 0 state of N = 3 has <J> = 0
+    basis = SpinBasis(3)
+    tr = BlobTrajectory(vectors=np.eye(3, dtype=np.complex128)[[1]], h=1.0, a_history=np.zeros((0, 3)))
+    with pytest.raises(ValueError, match="center vector vanishes"):
+        blob_center(basis, tr.blob(0))
+    with pytest.raises(ValueError, match="center vector vanishes"):
+        tr.centers(basis)
 
 
 def test_small_n_consistency():

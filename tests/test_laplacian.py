@@ -1,5 +1,7 @@
 """Quantized Laplacian, its eigen-matrix basis, and the elliptic solvers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from qdiff import (
     solve_poisson,
     solve_stream,
 )
+from qdiff.laplacian import _band_tridiagonal, band_ladder_up
 from conftest import eigenbasis
 
 
@@ -43,12 +46,12 @@ def test_spectrum_small_superoperator():
     assert np.max(np.abs(vals - expect)) < 1e-10
 
 
-@pytest.mark.parametrize("N", [2, 5, 16, 33])
+@pytest.mark.parametrize("N", [2, 5, 16, 17, 33, 64, 256])
 def test_band_orthonormality(N):
     eig = eigenbasis(N)
     for m in range(N):
         V = eig.bands[m]
-        assert np.max(np.abs(V.T @ V - np.eye(N - m))) < 1e-12
+        assert np.max(np.abs(V.T @ V - np.eye(N - m))) <= 1e-13, m
 
 
 @pytest.mark.parametrize("N", [2, 5, 16, 33, 64])
@@ -59,6 +62,92 @@ def test_eigen_residual_all_bands(N):
         ls = np.arange(m, N)
         res = apply_laplacian_band(N, m, V) + V * (ls * (ls + 1.0))
         assert np.max(np.abs(res)) < 1e-10
+
+
+def _dense_band(N, m):
+    """-Delta on band m as a dense matrix, formed from the ladder."""
+    n = N - m
+    Um = band_ladder_up(N, m, np.eye(n))
+    if m == 0:
+        return Um.T @ Um
+    Up = band_ladder_up(N, m - 1, np.eye(n + 1))
+    return m * m * np.eye(n) + 0.5 * (Um.T @ Um + Up @ Up.T)
+
+
+def _eigh_eigenbasis(N):
+    """Reference: every band diagonalized densely by eigh, signs as built."""
+    bands = []
+    for m in range(N):
+        vals, V = np.linalg.eigh(_dense_band(N, m))
+        V = V[:, np.argsort(vals)]
+        if m == 0:
+            sgn = np.where(V[-1, :] < 0.0, -1.0, 1.0)
+        else:
+            W = band_ladder_up(N, m - 1, bands[m - 1][:, 1:])
+            sgn = np.where(np.sum(V * W, axis=0) < 0.0, -1.0, 1.0)
+        bands.append(V * sgn)
+    return bands
+
+
+@pytest.mark.parametrize("N", [1, 2, 17, 64])
+def test_band_tridiagonal_is_exact_closed_form(N):
+    # 8 diag and 16 e2 are integers: compare with integer arithmetic
+    def x4(k):  # 4 a_k^2, a_k the ladder amplitude
+        return (N - 1) * (N + 1) - (2 * k - N + 1) * (2 * k - N + 3) if 0 <= k < N - 1 else 0
+
+    for m in range(N):
+        j = np.arange(N - m)
+        diag, e2 = _band_tridiagonal(N, m, j)
+        want_diag = [8 * m * m + x4(m + i) + x4(i - 1) + x4(m + i - 1) + x4(i) for i in range(N - m)]
+        want_e2 = [x4(i - 1) * x4(m + i - 1) for i in range(N - m)]
+        assert np.array_equal(8 * diag, want_diag)
+        assert np.array_equal(16 * e2, want_e2)
+        T = _dense_band(N, m)
+        assert np.allclose(np.diag(T), diag, rtol=1e-14, atol=0)
+        assert np.allclose(np.diag(T, -1), -np.sqrt(e2[1:]), rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("N", [2, 17, 64, 256])
+def test_band_residual_against_closed_form(N):
+    eig = eigenbasis(N)
+    for m in range(N):
+        V = eig.bands[m]
+        lam = np.arange(m, N) * (np.arange(m, N) + 1.0)
+        diag, e2 = _band_tridiagonal(N, m, np.arange(N - m))
+        off = -np.sqrt(e2[1:, None])
+        TV = diag[:, None] * V
+        TV[1:] += off * V[:-1]
+        TV[:-1] += off * V[1:]
+        assert np.linalg.norm(TV - V * lam) <= 1e-13 * np.linalg.norm(lam), m
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 17, 64, 128])
+def test_eigenbasis_matches_dense_eigh(N):
+    # band 0 keeps the eigh arithmetic bit for bit (the density path reads
+    # it); the twisted bands agree with eigh's to roundoff, signs included
+    got, ref = eigenbasis(N).bands, _eigh_eigenbasis(N)
+    assert np.array_equal(got[0], ref[0])
+    for m in range(1, N):
+        assert np.max(np.abs(got[m] - ref[m])) <= 1e-13, m
+
+
+def test_eigenbasis_finite_through_zero_pivots():
+    # exact shifts hit exactly zero pivots for almost every N >= 3 here
+    for N in range(1, 41):
+        bands = build_eigenbasis(N).bands
+        assert all(np.isfinite(V).all() for V in bands), N
+        assert abs(bands[N - 1][0, 0]) == 1.0
+
+
+def test_eigenbasis_build_memory():
+    build_eigenbasis(8)
+    tracemalloc.start()
+    try:
+        eig = build_eigenbasis(128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= sum(V.nbytes for V in eig.bands) + 4 * 2**20
 
 
 def test_band_apply_matches_dense(rng):
