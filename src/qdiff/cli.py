@@ -1,8 +1,11 @@
 """Command-line front end: diagnostics, simulations, experiments, rendering.
 
-Every run validates its parameters, writes its outputs plus a
-manifest.json echoing the fully resolved configuration into --out, and
-is deterministic (there is no randomness anywhere in the pipeline).
+Every run writes its outputs plus a manifest.json echoing the fully
+resolved configuration (--point as its unit vector) into --out, and is
+deterministic (there is no randomness anywhere in the pipeline).  Each
+numeric option declares its finite bound where it is parsed (README.md
+tabulates them), so a value out of bounds, or a --t-final that is not
+whole --dt steps, is a usage error raised before --out is created.
 Exit codes: 0 success, 1 runtime or numerical failure, 2 usage error.
 Runtime failures print a single line "qdiff-error <kind>: <message>".
 """
@@ -10,6 +13,7 @@ Runtime failures print a single line "qdiff-error <kind>: <message>".
 import argparse
 import csv
 import json
+import math
 import os
 import platform
 import resource
@@ -50,6 +54,39 @@ from .render import render_field
 from .spin_basis import SpinBasis
 
 
+def _bounded(kind, lo=-math.inf, hi=math.inf, open_lo=False):
+    """argparse type: a finite `kind` value in [lo, hi], or in (lo, hi] if open_lo."""
+    left = "(" if open_lo or lo == -math.inf else "["
+    right = "]" if hi < math.inf else ")"
+    want = f"a finite {kind.__name__} in {left}{lo}, {hi}{right}"
+
+    def convert(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        above = lo < value if open_lo else lo <= value
+        # the outer pair refuses nan and +-inf; ints compare exactly however large
+        if not (-math.inf < value < math.inf and above and value <= hi):
+            raise argparse.ArgumentTypeError(f"must be {want}, got {text!r}")
+        return value
+
+    return convert
+
+
+def _point(text):
+    """argparse type: "x,y,z" as the unit vector along it, a tuple of three floats."""
+    try:
+        v = np.array([float(x) for x in text.split(",")], dtype=np.float64)
+    except ValueError:
+        v = np.zeros(0)
+    with np.errstate(over="ignore"):
+        nrm = np.linalg.norm(v)  # nan or inf unless v is finite and not huge
+    if v.shape != (3,) or not 1e-12 <= nrm < math.inf:
+        raise argparse.ArgumentTypeError(f'must be "x,y,z", finite and nonzero, got {text!r}')
+    return tuple(float(x) for x in v / nrm)
+
+
 def _add_common(sub):
     sub.add_argument("--out", default="qdiff-out", help="output directory")
     sub.add_argument("--cache-eigenbasis", default=None, metavar="PATH",
@@ -62,14 +99,14 @@ def _parser():
     subs = p.add_subparsers(dest="command", required=True)
 
     s = subs.add_parser("basis-check", help="generator and Laplacian invariant suite")
-    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--n", type=_bounded(int, 2, 256), required=True)
     _add_common(s)
 
     s = subs.add_parser("simulate", help="evolve quantized vorticity")
-    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--n", type=_bounded(int, 2, 256), required=True)
     s.add_argument("--model", choices=["euler", "epdiff"], default="euler")
-    s.add_argument("--t-final", type=float, default=1.0)
-    s.add_argument("--dt", type=float, default=0.02)
+    s.add_argument("--t-final", type=_bounded(float, 0.0), default=1.0)
+    s.add_argument("--dt", type=_bounded(float, 0.0, open_lo=True), default=0.02)
     s.add_argument("--integrator", choices=["isomp", "rk4"], default="isomp")
     s.add_argument("--init", default=None, metavar="QCOEF",
                    help="initial vorticity coefficients (default: built-in l=1,2 mix)")
@@ -77,32 +114,29 @@ def _parser():
     _add_common(s)
 
     s = subs.add_parser("blob", help="transport a blob two ways")
-    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--n", type=_bounded(int, 2, 256), required=True)
     s.add_argument("--mode", choices=["density", "center"], default="density")
-    s.add_argument("--point", default="-1,0,0", help='initial center "x,y,z"')
-    s.add_argument("--t", type=float, default=0.5, help="density-mode transport time")
-    s.add_argument("--steps", type=int, default=200, help="center-mode step count")
-    s.add_argument("--h", type=float, default=1.0, help="center-mode step size")
-    s.add_argument("--width", type=int, default=400, help="raster width")
+    s.add_argument("--point", type=_point, default="-1,0,0",
+                   help='initial center "x,y,z", normalized to unit length')
+    s.add_argument("--t", type=_bounded(float), default=0.5, help="density-mode transport time")
+    s.add_argument("--steps", type=_bounded(int, 1), default=200, help="center-mode step count")
+    s.add_argument("--h", type=_bounded(float, 0.0, open_lo=True), default=1.0,
+                   help="center-mode step size")
+    s.add_argument("--width", type=_bounded(int, 16, 8192), default=400, help="raster width")
     _add_common(s)
 
     s = subs.add_parser("deform", help="mesh deformation and quantized density pattern")
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--refinements", type=int, default=4)
-    s.add_argument("--t", type=float, default=1.0)
-    s.add_argument("--width", type=int, default=400)
+    s.add_argument("--n", type=_bounded(int, 2, 256), required=True)
+    s.add_argument("--refinements", type=_bounded(int, 0, 8), default=4)
+    s.add_argument("--t", type=_bounded(float), default=1.0)
+    s.add_argument("--width", type=_bounded(int, 16, 8192), default=400)
     _add_common(s)
 
     s = subs.add_parser("render", help="render a qcoef or qgrid file")
     s.add_argument("--input", required=True, metavar="FILE")
-    s.add_argument("--width", type=int, default=512)
+    s.add_argument("--width", type=_bounded(int, 16, 8192), default=512)
     _add_common(s)
     return p
-
-
-def _check_n(parser, n):
-    if not 2 <= n <= 256:
-        parser.error(f"--n must be in [2, 256], got {n}")
 
 
 def _ensure_out(args):
@@ -117,15 +151,11 @@ def _peak_rss_mb():
 
 
 def _manifest(args, outputs):
-    cfg = {k: v for k, v in vars(args).items() if k != "func"}
-    cfg["version"] = __version__
-    cfg["numpy"] = np.__version__
-    cfg["python"] = platform.python_version()
-    cfg["outputs"] = outputs
-    cfg["peak_rss_mb"] = _peak_rss_mb()
+    cfg = dict(vars(args), version=__version__, numpy=np.__version__,
+               python=platform.python_version(), outputs=outputs, peak_rss_mb=_peak_rss_mb())
     path = os.path.join(args.out, "manifest.json")
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(cfg, fh, indent=2, sort_keys=True, default=str)
+        json.dump(cfg, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -145,19 +175,6 @@ def _eigenbasis(args):
     if cache_path:
         save_eigenbasis(cache_path, eig)
     return eig
-
-
-def _parse_point(parser, text):
-    try:
-        v = np.array([float(x) for x in text.split(",")], dtype=np.float64)
-    except ValueError:
-        v = np.zeros(2)
-    if v.shape != (3,):
-        parser.error(f'--point must be "x,y,z", got {text!r}')
-    nrm = np.linalg.norm(v)
-    if nrm < 1e-12:
-        parser.error("--point must be a nonzero vector")
-    return v / nrm
 
 
 def cmd_basis_check(args):
@@ -181,20 +198,17 @@ def cmd_basis_check(args):
         np.max(np.abs(eig.bands[m].T @ eig.bands[m] - np.eye(n - m))) for m in range(n)
     )
     check("band-orthonormality", ortho, 1e-11)
-    spec_lines = []
     worst = 0.0
     for m in range(n):
         ls = np.arange(m, n)
         res = apply_laplacian_band(n, m, eig.bands[m]) + eig.bands[m] * (ls * (ls + 1.0))
         worst = max(worst, float(np.max(np.abs(res))))
     check("laplacian-eigen-residual", worst, 1e-9)
-    for l in range(n):
-        spec_lines.append(f"l={l} eigenvalue={-l * (l + 1)} multiplicity={2 * l + 1}")
     ok = all(r[3] for r in rows)
     lines = [f"basis-check N={n}"]
     for name, res, tol, good in rows:
         lines.append(f"{'PASS' if good else 'FAIL'} {name} residual={res:.3e} tol={tol:.3e}")
-    lines += spec_lines
+    lines += [f"l={l} eigenvalue={-l * (l + 1)} multiplicity={2 * l + 1}" for l in range(n)]
     report = "\n".join(lines) + "\n"
     sys.stdout.write(report)
     with open(os.path.join(out, "basis_check.txt"), "w", encoding="ascii") as fh:
@@ -255,19 +269,17 @@ def _write_track(path, times, centers):
 
 def cmd_blob(args):
     out = _ensure_out(args)
-    parser_point = args.point_vec
     basis = SpinBasis(args.n)
     eig = _eigenbasis(args)
     P = quantize_generator(example_generator(), eig)
-    B0 = blob_at(basis, parser_point)
+    B0 = blob_at(basis, args.point)
     if args.mode == "density":
         samples = 20
-        times = [args.t * k / samples for k in range(samples + 1)]
+        times = [args.t * k / samples for k in range(samples)] + [args.t]
         centers = []
         for t in times:
-            F = flow_of_stream(P, t)
-            centers.append(blob_center(basis, act_density(F, B0)))
-        B_final = act_density(flow_of_stream(P, args.t), B0)
+            B_final = act_density(flow_of_stream(P, t), B0)
+            centers.append(blob_center(basis, B_final))
     else:
         traj = transport_blob(basis, P, B0, n_steps=args.steps, h=args.h)
         times = [args.h * k for k in range(len(traj.vectors))]
@@ -305,8 +317,8 @@ def cmd_deform(args):
     save_matrix(os.path.join(out, "ffdag.qmat"), FFdag)
     img = render_field(dequantize(FFdag, eig), width=args.width)
     write_raster_with_sidecar(os.path.join(out, "ffdag.ppm"), img)
-    south = face_centroids(mesh1)[:, 2] < -0.5
-    north = face_centroids(mesh1)[:, 2] > 0.5
+    z = face_centroids(mesh1)[:, 2]
+    south, north = z < -0.5, z > 0.5
     summary = {
         "south_faces": int(south.sum()),
         "south_ratio_min": float(ratios[south].min()) if south.any() else None,
@@ -324,7 +336,8 @@ def cmd_deform(args):
 def cmd_render(args):
     out = _ensure_out(args)
     with open(args.input, "rb") as fh:
-        tag = fh.readline().split()[0].decode("ascii", errors="replace")
+        head = fh.readline().split()
+    tag = head[0].decode("ascii", errors="replace") if head else ""
     if tag == "qcoef-v1":
         field = load_coefficients(args.input)
     elif tag == "qgrid-v1":
@@ -341,21 +354,11 @@ def main(argv=None):
     parser = _parser()
     args = parser.parse_args(argv)
     args.warnings = []
-    if hasattr(args, "n"):
-        _check_n(parser, args.n)
-    if args.command == "blob":
-        args.point_vec = _parse_point(parser, args.point)
     if args.command == "simulate":
-        if args.t_final < 0 or args.dt <= 0:
-            parser.error("need --t-final >= 0 and --dt > 0")
         try:
             step_count(args.t_final, args.dt)
         except ValueError:
             parser.error("--t-final must be 0 or a whole positive number of --dt steps")
-    if args.command == "blob" and (args.steps < 1 or args.h <= 0):
-        parser.error("need --steps >= 1 and --h > 0")
-    if args.command == "deform" and not 0 <= args.refinements <= 8:
-        parser.error("--refinements must be in [0, 8]")
     handlers = {
         "basis-check": cmd_basis_check,
         "simulate": cmd_simulate,

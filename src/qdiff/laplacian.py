@@ -264,34 +264,22 @@ def band_ladder_up(N, m, t):
     return a[m : m + n - 1, None] * t[:-1] - a[: n - 1, None] * t[1:]
 
 
-def band_ladder_down(N, m, t):
-    """[J-, .] on band-m vectors: band m -> m-1 (m >= 1)."""
-    a = ladder_amplitudes(N)
-    t = np.atleast_2d(t.T).T if t.ndim == 1 else t
-    n = t.shape[0]
-    out = np.zeros((n + 1, t.shape[1]), dtype=t.dtype)
-    out[:n] += a[m - 1 : m - 1 + n, None] * t
-    out[1:] -= a[:n, None] * t
-    return out
-
-
 def apply_laplacian_band(N, m, t):
     """Delta restricted to band-m vectors, O(N) per vector.
 
-    Equals extracting the m-th subdiagonal of apply_laplacian of the
+    Minus the closed-form tridiagonal of _band_tridiagonal; equals
+    extracting the m-th subdiagonal of apply_laplacian of the
     corresponding single-band matrix.
     """
     t = np.asarray(t, dtype=np.float64)
     squeeze = t.ndim == 1
     if squeeze:
         t = t[:, None]
-    if m == 0:
-        out = -band_ladder_down(N, 1, band_ladder_up(N, 0, t))
-    else:
-        mixed = band_ladder_down(N, m + 1, band_ladder_up(N, m, t)) + band_ladder_up(
-            N, m - 1, band_ladder_down(N, m, t)
-        )
-        out = -(m * m * t + 0.5 * mixed)
+    diag, e2 = _band_tridiagonal(N, m, np.arange(N - m))
+    g = np.sqrt(e2[1:, None])  # minus the coupling of (j - 1, j)
+    out = -diag[:, None] * t
+    out[1:] += g * t[:-1]
+    out[:-1] += g * t[1:]
     return out[:, 0] if squeeze else out
 
 

@@ -1,5 +1,6 @@
 """End-to-end command runs: exit codes, outputs, determinism, caching."""
 
+import argparse
 import json
 import platform
 import subprocess
@@ -16,7 +17,7 @@ from qdiff import (
     load_mesh,
     save_coefficients,
 )
-from qdiff.cli import main
+from qdiff.cli import _parser, main
 
 
 def run(argv):
@@ -36,7 +37,7 @@ def test_no_command_is_usage_error():
     assert ex.value.code == 2
 
 
-@pytest.mark.parametrize("n", [1, 257])
+@pytest.mark.parametrize("n", [1, 257, "nan", "2.5"])
 def test_n_out_of_range(n, tmp_path):
     with pytest.raises(SystemExit) as ex:
         run(["basis-check", "--n", n, "--out", tmp_path])
@@ -145,10 +146,12 @@ def test_simulate_refuses_negative_lmax_init(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("t_final, dt", [("1.0", "0.3"), ("1.0", "3")])
+@pytest.mark.parametrize("t_final, dt", [("1.0", "0.3"), ("1.0", "3"), ("0", "inf"),
+                                        ("1e300", "1e-300")])
 def test_simulate_rejects_span_not_whole_steps(tmp_path, t_final, dt):
     # rounding the step count stopped at t = 0.9, or ran no step at all,
-    # while the manifest recorded the requested span
+    # while the manifest recorded the requested span; zero steps of an
+    # infinite dt wrote time = nan, and an overflowing step count is no count
     with pytest.raises(SystemExit) as ex:
         run(["simulate", "--n", "8", "--t-final", t_final, "--dt", dt,
              "--out", tmp_path])
@@ -209,10 +212,60 @@ def test_blob_center_mode_climbs(tmp_path):
 
 
 def test_blob_point_validation(tmp_path):
-    for bad in ("1,2", "0,0,0", "a,b,c"):
+    for bad in ("1,2", "0,0,0", "a,b,c", "nan,0,0", "inf,0,0", "1,nan,0", "1e300,1e300,0"):
         with pytest.raises(SystemExit) as ex:
             run(["blob", "--n", "8", "--point", bad, "--out", tmp_path])
         assert ex.value.code == 2
+
+
+_BAD_OPTIONS = [
+    ["simulate", "--n", "8", "--t-final", "0", "--dt", "inf"],
+    ["simulate", "--n", "8", "--dt", "nan"],
+    ["simulate", "--n", "8", "--t-final", "-1"],
+    ["blob", "--n", "8", "--h", "nan"],
+    ["blob", "--n", "8", "--h", "0"],
+    ["blob", "--n", "8", "--t", "nan"],
+    ["blob", "--n", "8", "--steps", "0"],
+    *[[*cmd, "--width", w]
+      for cmd in (["blob", "--n", "8"], ["deform", "--n", "8"], ["render", "--input", "c.qcoef"])
+      for w in ("15", "8193")],
+    ["deform", "--n", "8", "--t", "inf"],
+    ["deform", "--n", "8", "--refinements", "9"],
+]
+
+
+@pytest.mark.parametrize("argv", _BAD_OPTIONS, ids=" ".join)
+def test_bad_option_exits_2_before_any_output(tmp_path, capsys, argv):
+    # these ran and exited 0 with nan in the outputs, or exited 1 midway
+    # and left files behind, or ran the whole transport before failing
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as ex:
+        run([*argv, "--out", out])
+    assert ex.value.code == 2
+    assert capsys.readouterr().err.count(": error: argument ") == 1
+    assert not out.exists()
+
+
+def test_no_option_is_parsed_by_bare_int_or_float():
+    # every numeric option goes through a bounded converter
+    parser = _parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, sub in subs.choices.items():
+        for action in sub._actions:
+            assert action.type not in (int, float), (name, action.option_strings)
+
+
+def test_manifest_is_strict_json_with_resolved_point(tmp_path):
+    out = tmp_path / "blob"
+    assert run(["blob", "--n", "8", "--t", "0.1", "--point=0,3,4", "--width", "16",
+                "--out", out]) == 0
+
+    def refuse(name):
+        raise ValueError(f"manifest holds the non-JSON constant {name}")
+
+    cfg = json.loads((out / "manifest.json").read_text(), parse_constant=refuse)
+    assert cfg["point"] == [0.0, 0.6, 0.8]
+    assert "point_vec" not in cfg
 
 
 def test_deform_summary(tmp_path):
@@ -258,6 +311,17 @@ def test_render_refuses_trailing_bytes(tmp_path, capsys):
     assert run(["render", "--input", src, "--width", "64", "--out", tmp_path / "r"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("qdiff-error ValueError: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("content", [b"", b"\n"])
+def test_render_refuses_empty_or_headerless_file(tmp_path, capsys, content):
+    src = tmp_path / "empty"
+    src.write_bytes(content)
+    assert run(["render", "--input", src, "--out", tmp_path / "r"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qdiff-error ValueError: ")
+    assert "qcoef-v1" in err and "qgrid-v1" in err
     assert err.count("\n") == 1
 
 
