@@ -6,6 +6,11 @@ deterministic (there is no randomness anywhere in the pipeline).  Each
 numeric option declares its finite bound where it is parsed (README.md
 tabulates them), so a value out of bounds, or a --t-final that is not
 whole --dt steps, is a usage error raised before --out is created.
+Each cmd_* only computes: it returns its exit code and its outputs as
+(file name, writer, value...) entries.  Only then does main create
+--out, write the entries in order and write manifest.json last, listing
+them, so a run that fails leaves --out as it was.  A --cache-eigenbasis
+file that is read is probed first (laplacian.check_eigenbasis).
 Exit codes: 0 success, 1 runtime or numerical failure, 2 usage error.
 Runtime failures print a single line "qdiff-error <kind>: <message>".
 """
@@ -139,24 +144,42 @@ def _parser():
     return p
 
 
-def _ensure_out(args):
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
-
-
 def _peak_rss_mb():
     """Peak resident memory of this process so far, in MiB."""
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return peak / 2**20 if sys.platform == "darwin" else peak / 1024.0  # bytes on macOS, KiB elsewhere
 
 
-def _manifest(args, outputs):
-    cfg = dict(vars(args), version=__version__, numpy=np.__version__,
-               python=platform.python_version(), outputs=outputs, peak_rss_mb=_peak_rss_mb())
-    path = os.path.join(args.out, "manifest.json")
+def _write_text(path, text):
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(cfg, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
+
+
+def _write_json(path, value):
+    _write_text(path, json.dumps(value, indent=2) + "\n")
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="", encoding="ascii") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _write_outputs(args, entries):
+    """Create --out, write each (name, writer, value...) entry in order, then manifest.json.
+
+    The manifest's outputs are the names written, a raster's .range
+    sidecar right after its .ppm.
+    """
+    os.makedirs(args.out, exist_ok=True)
+    names = []
+    for name, write, *values in entries:
+        write(os.path.join(args.out, name), *values)
+        names += [name, name + ".range"] if write is write_raster_with_sidecar else [name]
+    cfg = dict(vars(args), version=__version__, numpy=np.__version__,
+               python=platform.python_version(), outputs=names, peak_rss_mb=_peak_rss_mb())
+    _write_json(os.path.join(args.out, "manifest.json"), dict(sorted(cfg.items())))
 
 
 def _eigenbasis(args):
@@ -179,7 +202,6 @@ def _eigenbasis(args):
 
 def cmd_basis_check(args):
     n = args.n
-    out = _ensure_out(args)
     basis = SpinBasis(n)
     x1, x2, x3 = basis.x
     rows = []
@@ -211,10 +233,7 @@ def cmd_basis_check(args):
     lines += [f"l={l} eigenvalue={-l * (l + 1)} multiplicity={2 * l + 1}" for l in range(n)]
     report = "\n".join(lines) + "\n"
     sys.stdout.write(report)
-    with open(os.path.join(out, "basis_check.txt"), "w", encoding="ascii") as fh:
-        fh.write(report)
-    _manifest(args, ["basis_check.txt"])
-    return 0 if ok else 1
+    return (0 if ok else 1), [("basis_check.txt", _write_text, report)]
 
 
 def _default_vorticity(eig):
@@ -227,7 +246,6 @@ def _default_vorticity(eig):
 
 
 def cmd_simulate(args):
-    out = _ensure_out(args)
     eig = _eigenbasis(args)
     coeffs = load_coefficients(args.init) if args.init else _default_vorticity(eig)
     values = coeffs.values.copy()
@@ -235,22 +253,16 @@ def cmd_simulate(args):
     W0 = quantize(HarmonicCoefficients(coeffs.lmax, 1j * values), eig)
     traj = evolve_vorticity(W0, eig, args.t_final, args.dt, args.integrator, args.model,
                             keep_states=args.save_states)
-    outputs = ["diagnostics.csv", "final_vorticity.qmat", "final_vorticity.qcoef"]
-    with open(os.path.join(out, "diagnostics.csv"), "w", newline="", encoding="ascii") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "time", "trace_re", "trace_im", "trW2_re", "trW2_im", "eig_drift"])
-        w.writerows(traj.diagnostics_rows())
-    save_matrix(os.path.join(out, "final_vorticity.qmat"), traj.states[-1])
-    # same convention --init reads: feeds straight back in or into render
-    save_coefficients(os.path.join(out, "final_vorticity.qcoef"),
-                      _real_coeffs(traj.states[-1], eig))
+    header = ["step", "time", "trace_re", "trace_im", "trW2_re", "trW2_im", "eig_drift"]
+    entries = [
+        ("diagnostics.csv", _write_csv, header, traj.diagnostics_rows()),
+        ("final_vorticity.qmat", save_matrix, traj.states[-1]),
+        # same convention --init reads: feeds straight back in or into render
+        ("final_vorticity.qcoef", save_coefficients, _real_coeffs(traj.states[-1], eig)),
+    ]
     if args.save_states:
-        for k, Wk in enumerate(traj.states):
-            name = f"state_{k:05d}.qmat"
-            save_matrix(os.path.join(out, name), Wk)
-            outputs.append(name)
-    _manifest(args, outputs)
-    return 0
+        entries += [(f"state_{k:05d}.qmat", save_matrix, Wk) for k, Wk in enumerate(traj.states)]
+    return 0, entries
 
 
 def _real_coeffs(M, eig):
@@ -259,16 +271,7 @@ def _real_coeffs(M, eig):
     return HarmonicCoefficients(c.lmax, -1j * c.values)
 
 
-def _write_track(path, times, centers):
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "t", "x", "y", "z"])
-        for k, (t, c) in enumerate(zip(times, centers)):
-            w.writerow([k, t, c[0], c[1], c[2]])
-
-
 def cmd_blob(args):
-    out = _ensure_out(args)
     basis = SpinBasis(args.n)
     eig = _eigenbasis(args)
     P = quantize_generator(example_generator(), eig)
@@ -285,38 +288,31 @@ def cmd_blob(args):
         times = [args.h * k for k in range(len(traj.vectors))]
         centers = traj.centers(basis)
         B_final = traj.blob(-1)
-        with open(os.path.join(out, "a_history.csv"), "w", newline="", encoding="ascii") as fh:
-            w = csv.writer(fh)
-            w.writerow(["step", "a1", "a2", "a3"])
-            for k, a in enumerate(traj.a_history):
-                w.writerow([k, a[0], a[1], a[2]])
-    _write_track(os.path.join(out, "track.csv"), times, centers)
-    save_matrix(os.path.join(out, "final_blob.qmat"), B_final)
     img = render_field(_real_coeffs(B_final, eig), width=args.width)
-    write_raster_with_sidecar(os.path.join(out, "blob.ppm"), img)
-    outputs = ["track.csv", "final_blob.qmat", "blob.ppm", "blob.ppm.range"]
+    entries = [
+        ("track.csv", _write_csv, ["step", "t", "x", "y", "z"],
+         [[k, t, *c] for k, (t, c) in enumerate(zip(times, centers))]),
+        ("final_blob.qmat", save_matrix, B_final),
+        ("blob.ppm", write_raster_with_sidecar, img),
+    ]
     if args.mode == "center":
-        outputs.append("a_history.csv")
-    _manifest(args, outputs)
-    return 0
+        entries.append(("a_history.csv", _write_csv, ["step", "a1", "a2", "a3"],
+                        [[k, *a] for k, a in enumerate(traj.a_history)]))
+    return 0, entries
 
 
 def cmd_deform(args):
-    out = _ensure_out(args)
     eig = _eigenbasis(args)
     mesh0 = icosasphere(args.refinements)
     mesh1 = transport_mesh(mesh0, args.t)
     ratios = face_area_ratios(mesh0, mesh1)
     mesh1.face_scalars = ratios
-    save_mesh(os.path.join(out, "deformed_mesh.qmesh"), mesh1)
     # the published density pattern comes from the generator variant with
     # the opposite gradient sign; its flow is not the mesh's flow map
     P = quantize_generator(example_generator(gradient_sign=-1), eig)
     F = flow_of_stream(P, args.t)
     FFdag = act_density(F, np.eye(args.n, dtype=np.complex128))
-    save_matrix(os.path.join(out, "ffdag.qmat"), FFdag)
     img = render_field(dequantize(FFdag, eig), width=args.width)
-    write_raster_with_sidecar(os.path.join(out, "ffdag.ppm"), img)
     z = face_centroids(mesh1)[:, 2]
     south, north = z < -0.5, z > 0.5
     summary = {
@@ -325,16 +321,15 @@ def cmd_deform(args):
         "north_faces": int(north.sum()),
         "north_ratio_max": float(ratios[north].max()) if north.any() else None,
     }
-    with open(os.path.join(out, "deform_summary.json"), "w", encoding="ascii") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
-    _manifest(args, ["deformed_mesh.qmesh", "ffdag.qmat", "ffdag.ppm", "ffdag.ppm.range",
-                     "deform_summary.json"])
-    return 0
+    return 0, [
+        ("deformed_mesh.qmesh", save_mesh, mesh1),
+        ("ffdag.qmat", save_matrix, FFdag),
+        ("ffdag.ppm", write_raster_with_sidecar, img),
+        ("deform_summary.json", _write_json, summary),
+    ]
 
 
 def cmd_render(args):
-    out = _ensure_out(args)
     with open(args.input, "rb") as fh:
         head = fh.readline().split()
     tag = head[0].decode("ascii", errors="replace") if head else ""
@@ -344,10 +339,7 @@ def cmd_render(args):
         field = load_grid(args.input)
     else:
         raise ValueError(f"cannot render container {tag!r} (need qcoef-v1 or qgrid-v1)")
-    img = render_field(field, width=args.width)
-    write_raster_with_sidecar(os.path.join(out, "render.ppm"), img)
-    _manifest(args, ["render.ppm", "render.ppm.range"])
-    return 0
+    return 0, [("render.ppm", write_raster_with_sidecar, render_field(field, width=args.width))]
 
 
 def main(argv=None):
@@ -367,7 +359,9 @@ def main(argv=None):
         "render": cmd_render,
     }
     try:
-        return handlers[args.command](args)
+        code, entries = handlers[args.command](args)
+        _write_outputs(args, entries)
+        return code
     except Exception as exc:  # single-line machine-parsable failure
         kind = type(exc).__name__
         sys.stderr.write(f"qdiff-error {kind}: {exc}\n")

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._expm import expm
-from .laplacian import solve_stream
+from .laplacian import sh_lm, solve_stream
 from .quantization import analyze, synthesize, synthesize_dtheta
 
 FIXED_POINT_TOL = 1e-12
@@ -59,8 +59,16 @@ def flow_of_stream(P, t):
 
 
 def act_density(F, B):
-    """F.B = F B F^dagger (congruence action on quantized densities)."""
-    return F @ B @ F.conj().T
+    """F.B = F B F^dagger (congruence action on quantized densities).
+
+    Raises OverflowError when the product is not finite: a finite F can
+    still overflow F F^dagger.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = F @ B @ F.conj().T
+    if not np.all(np.isfinite(out)):
+        raise OverflowError("density action overflowed")
+    return out
 
 
 def vorticity_rhs(W, eig, model="euler"):
@@ -289,9 +297,7 @@ def classical_bracket(f, g):
 
     def dlon(c, grid):
         d = c.copy()
-        for l in range(c.lmax + 1):
-            for m in range(-l, l + 1):
-                d.values[l * l + l + m] *= 1j * m
+        d.values *= 1j * sh_lm(c.lmax)[1]
         return synthesize(d, grid.nlat, grid.nlon).values
 
     ft = synthesize_dtheta(cf, f).values

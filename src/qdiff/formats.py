@@ -16,7 +16,7 @@ import os
 
 import numpy as np
 
-from .laplacian import LaplacianEigenbasis
+from .laplacian import LaplacianEigenbasis, check_eigenbasis
 from .quantization import GridField, HarmonicCoefficients
 from .reference_flows import TriMesh
 
@@ -171,7 +171,11 @@ def save_eigenbasis(path, eig):
 
 
 def load_eigenbasis(path):
-    """The cached basis; its bands are read-only views into one buffer."""
+    """The cached basis; its bands are read-only views into one buffer.
+
+    The bands are probed (laplacian.check_eigenbasis) before they are
+    trusted, so a well-formed cache holding another basis raises ValueError.
+    """
     fields, payload = _read(path, "qeig-v1")
     N = _header_int(path, fields, "n", 1)
     # band m holds (N - m)^2 values: N (N + 1) (2N + 1) / 6 in all
@@ -184,7 +188,9 @@ def load_eigenbasis(path):
         size = N - m
         bands.append(flat[off : off + size * size].reshape(size, size))
         off += size * size
-    return LaplacianEigenbasis(N=N, bands=tuple(bands))
+    eig = LaplacianEigenbasis(N=N, bands=tuple(bands))
+    check_eigenbasis(eig)
+    return eig
 
 
 def write_ppm(path, image):

@@ -47,6 +47,12 @@ def sh_index(l, m):
     return l * l + l + m
 
 
+def sh_lm(lmax):
+    """Integer arrays l, m of every flat index 0..(lmax+1)^2-1: sh_index inverted."""
+    l = np.repeat(np.arange(lmax + 1), 2 * np.arange(lmax + 1) + 1)
+    return l, np.arange(l.size) - l * l - l
+
+
 def apply_laplacian(M, spin=None):
     """Delta M = -sum_k [J_k, [J_k, M]], computed densely."""
     M = np.asarray(M)
@@ -68,9 +74,6 @@ class LaplacianEigenbasis:
 
     N: int
     bands: tuple
-
-    def eigenvalue(self, l):
-        return -float(l * (l + 1))
 
     def band_vector(self, l, m):
         m = abs(m)
@@ -162,6 +165,40 @@ def build_eigenbasis(N):
             bands.append(V * np.where(np.sum(V * W, axis=0) < 0.0, -1.0, 1.0))
         m += c
     return LaplacianEigenbasis(N=N, bands=tuple(bands))
+
+
+def check_eigenbasis(eig):
+    """Probe a basis read from outside with one fixed vector x.
+
+    Band 0 must satisfy its eigen relation Delta V0 x = -V0 (lambda x)
+    with lambda_l = l(l+1), keep the norm of x, and have no negative
+    entry in its last row (build_eigenbasis leaves an exact 0.0 there for
+    a few l at some N); each band m >= 1 must be the raising ladder of
+    band m - 1, [J+, V_(m-1)[:, 1:] x] = V_m (s x) with
+    s_l = sqrt(l(l+1) - (m-1)m).  Together these pin every band of
+    build_eigenbasis's basis, signs included.  Raises ValueError when a
+    relative misfit exceeds 1e-12 (clean bases read <= 1.4e-14 up to
+    N = 256) or is nan.
+    """
+    N, V = eig.N, eig.bands
+    x = np.cos(np.arange(1.0, N + 1.0))
+    lam = np.arange(N) * np.arange(1.0, N + 1.0)
+
+    def check(what, residual, reference):
+        res, ref = np.linalg.norm(residual), np.linalg.norm(reference)
+        if not res <= 1e-12 * ref:
+            raise ValueError(f"eigenbasis fails its probe: {what} misfit {res / ref:.1e}")
+
+    with np.errstate(all="ignore"):  # a corrupt basis may hold anything
+        if not np.all(V[0][-1] >= 0.0):
+            raise ValueError("eigenbasis fails its probe: band 0 has a negative last-row entry")
+        y = V[0] @ x
+        check("band 0 eigen relation", apply_laplacian_band(N, 0, y) + V[0] @ (lam * x), lam * x)
+        check("band 0 norm", np.linalg.norm(y) - np.linalg.norm(x), x)
+        for m in range(1, N):
+            sx = np.sqrt(lam[m:] - (m - 1.0) * m) * x[: N - m]
+            up = band_ladder_up(N, m - 1, V[m - 1][:, 1:] @ x[: N - m])[:, 0]
+            check(f"band {m} ladder relation", up - V[m] @ sx, sx)
 
 
 # Bands are solved a chunk at a time: c bands of n0 columns, with c n0^2

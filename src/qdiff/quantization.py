@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .laplacian import sh_index
+from .laplacian import sh_index, sh_lm
 
 
 @dataclass
@@ -66,13 +66,9 @@ class HarmonicCoefficients:
     def is_real_function(self, tol=1e-12):
         """Whether a_{l,-m} = (-1)^m conj(a_lm) holds within tol."""
         scale = max(1.0, float(np.linalg.norm(self.values)))
-        for l in range(self.lmax + 1):
-            for m in range(l + 1):
-                lhs = self.values[sh_index(l, -m)]
-                rhs = (-1.0) ** m * np.conj(self.values[sh_index(l, m)])
-                if abs(lhs - rhs) > tol * scale:
-                    return False
-        return True
+        l, m = sh_lm(self.lmax)
+        rhs = (-1.0) ** m * np.conj(self.values)
+        return not np.any(np.abs(self.values[sh_index(l, -m)] - rhs) > tol * scale)
 
 
 def random_coefficients(lmax, rng, real=True):
@@ -81,10 +77,10 @@ def random_coefficients(lmax, rng, real=True):
     n = (lmax + 1) ** 2
     values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     if real:
-        for l in range(lmax + 1):
-            values[sh_index(l, 0)] = values[sh_index(l, 0)].real
-            for m in range(1, l + 1):
-                values[sh_index(l, -m)] = (-1.0) ** m * np.conj(values[sh_index(l, m)])
+        l, m = sh_lm(lmax)
+        values[m == 0] = values[m == 0].real
+        neg = m < 0
+        values[neg] = (-1.0) ** m[neg] * np.conj(values[sh_index(l[neg], -m[neg])])
     return HarmonicCoefficients(lmax, values)
 
 
@@ -124,14 +120,6 @@ class GridField:
         """L2 norm over the sphere."""
         dens = np.abs(self.values) ** 2
         return float(np.sqrt((2.0 * np.pi / self.nlon) * np.sum(self.weights @ dens)))
-
-    def points(self):
-        """Unit vectors of all grid nodes, shape (nlat, nlon, 3)."""
-        st = np.sin(self.colat)[:, None]
-        ct = np.cos(self.colat)[:, None]
-        cp = np.cos(self.lon)[None, :]
-        sp = np.sin(self.lon)[None, :]
-        return np.stack([st * cp, st * sp, np.broadcast_to(ct, (self.nlat, self.nlon))], axis=-1)
 
 
 def gauss_grid(nlat, nlon, values=None):
@@ -415,10 +403,12 @@ def blob_center(basis, B):
 
     c_k = Tr(C_k (B / Tr B)), real up to roundoff for any rotated blob,
     then normalized.  Raises for matrices without a usable center (for
-    example multiples of the identity).
+    example multiples of the identity, or matrices that are not finite).
     """
     t = np.trace(B)
     nrm = np.linalg.norm(B)
+    if not (np.isfinite(t) and np.isfinite(nrm)):
+        raise ValueError("blob is not finite")
     if nrm == 0.0 or abs(t) < 1e-12 * nrm:
         raise ValueError("degenerate blob: trace too small to normalize")
     D = B / t

@@ -53,6 +53,8 @@ def render_field(field, width=512):
     vals[inside] = evaluate(coeffs, colat[inside], lon[inside]).real
     vmin = float(vals[inside].min()) if np.any(inside) else 0.0
     vmax = float(vals[inside].max()) if np.any(inside) else 0.0
+    if not np.isfinite(vmax - vmin):  # a nan or inf inside, or a range that overflows
+        raise ValueError(f"field is not finite on the raster (min {vmin!r}, max {vmax!r})")
     if vmax - vmin < 1e-300:
         gray = np.full((height, width), 128, dtype=np.uint8)
     else:

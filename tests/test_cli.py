@@ -11,12 +11,16 @@ import pytest
 
 from qdiff import (
     HarmonicCoefficients,
+    LaplacianEigenbasis,
+    build_eigenbasis,
     load_coefficients,
     load_eigenbasis,
     load_matrix,
     load_mesh,
     save_coefficients,
+    save_eigenbasis,
 )
+from qdiff import cli
 from qdiff.cli import _parser, main
 
 
@@ -323,6 +327,115 @@ def test_render_refuses_empty_or_headerless_file(tmp_path, capsys, content):
     assert err.startswith("qdiff-error ValueError: ")
     assert "qcoef-v1" in err and "qgrid-v1" in err
     assert err.count("\n") == 1
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.fixture
+def inputs(tmp_path, monkeypatch):
+    """Work in tmp_path, which holds a good qcoef, a truncated one, one
+    holding a nan, and an empty file."""
+    monkeypatch.chdir(tmp_path)
+    c = HarmonicCoefficients.zeros(2)
+    c[1, 0] = 1.0
+    save_coefficients("c.qcoef", c)
+    (tmp_path / "trunc.qcoef").write_bytes((tmp_path / "c.qcoef").read_bytes()[:-8])
+    c[2, 0] = np.nan
+    save_coefficients("nan.qcoef", c)
+    (tmp_path / "empty").write_bytes(b"")
+    return tmp_path
+
+
+_FAILING_RUNS = [
+    ["render", "--input", "empty"],
+    ["simulate", "--n", "8", "--init", "trunc.qcoef"],
+    ["deform", "--n", "8", "--refinements", "1", "--t", "1000", "--width", "16"],
+    # F is finite but F F^H overflows: these wrote nan outputs and exited 0
+    ["deform", "--n", "32", "--refinements", "1", "--t", "30", "--width", "16"],
+    ["deform", "--n", "8", "--refinements", "1", "--t", "103", "--width", "16"],
+    ["render", "--input", "nan.qcoef", "--width", "16"],
+    ["blob", "--n", "8", "--mode", "density", "--t", "2400", "--width", "16"],
+]
+
+
+@pytest.mark.parametrize("argv", _FAILING_RUNS, ids=" ".join)
+def test_failed_run_writes_nothing(inputs, capsys, argv):
+    assert run([*argv, "--out", "out"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qdiff-error ")
+    assert err.count("\n") == 1
+    assert not (inputs / "out").exists()
+
+
+def test_failed_run_leaves_existing_out_byte_identical(tmp_path, capsys):
+    out = tmp_path / "def"
+    argv = ["deform", "--n", "8", "--refinements", "1", "--width", "16", "--out", out]
+    assert run([*argv, "--t", "1.0"]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    # this run used to replace deformed_mesh.qmesh before failing, under a
+    # manifest that still said t = 1.0
+    assert run([*argv, "--t", "1000"]) == 1
+    assert capsys.readouterr().err.count("\n") == 1
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+_RUNS = {
+    "basis-check": ["basis-check", "--n", "4"],
+    "simulate": ["simulate", "--n", "4", "--t-final", "0.1", "--dt", "0.05", "--save-states"],
+    "blob-density": ["blob", "--n", "4", "--t", "0.1", "--width", "16"],
+    "blob-center": ["blob", "--n", "4", "--mode", "center", "--steps", "3", "--width", "16"],
+    "deform": ["deform", "--n", "4", "--refinements", "1", "--width", "16"],
+    "render": ["render", "--input", "c.qcoef", "--width", "16"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RUNS))
+def test_out_holds_manifest_and_its_outputs(inputs, name):
+    assert run([*_RUNS[name], "--out", "out"]) == 0
+    outputs = json.loads((inputs / "out" / "manifest.json").read_text())["outputs"]
+    assert len(set(outputs)) == len(outputs)
+    assert sorted(p.name for p in (inputs / "out").iterdir()) == sorted(["manifest.json", *outputs])
+
+
+@pytest.mark.parametrize("name", sorted(_RUNS))
+def test_commands_compute_without_touching_out(inputs, name):
+    # main writes every output after the command returns; no cmd_* may
+    # create --out or write into it
+    args = _parser().parse_args([*_RUNS[name], "--out", "out"])
+    args.warnings = []
+    command = getattr(cli, "cmd_" + args.command.replace("-", "_"))
+    code, entries = command(args)
+    assert code == 0 and entries
+    assert not (inputs / "out").exists()
+
+
+def _corrupt(bands, kind):
+    if kind == "flip band 5 column":
+        bands[5][:, 1] *= -1.0
+    elif kind == "flip band 0 column":
+        bands[0][:, 3] *= -1.0
+    elif kind == "swap two band 2 columns":
+        bands[2][:, [1, 2]] = bands[2][:, [2, 1]]
+    elif kind == "zero band 3":
+        bands[3][:] = 0.0
+    elif kind == "move one entry by 1e-6":
+        bands[1][2, 2] += 1e-6
+
+
+@pytest.mark.parametrize("kind", ["flip band 5 column", "flip band 0 column", "swap two band 2 columns",
+                                  "zero band 3", "move one entry by 1e-6"])
+def test_corrupt_eigenbasis_cache_exits_1(tmp_path, capsys, kind):
+    # a well-formed cache of the right size used to be trusted as it stood
+    bands = [band.copy() for band in build_eigenbasis(8).bands]
+    _corrupt(bands, kind)
+    cache = tmp_path / "e.qeig"
+    save_eigenbasis(cache, LaplacianEigenbasis(N=8, bands=tuple(bands)))
+    out = tmp_path / "sim"
+    assert run(["simulate", "--n", "8", "--t-final", "0.1", "--dt", "0.05",
+                "--cache-eigenbasis", cache, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qdiff-error ValueError: eigenbasis fails its probe")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_module_entrypoint_runs():

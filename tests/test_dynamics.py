@@ -444,6 +444,13 @@ def test_act_density_conjugates(rng):
     assert np.allclose(act_density(F, B), F @ B @ F.conj().T)
 
 
+def test_act_density_overflow_raises():
+    # F is finite but F F^H is not; the product used to come back as inf/nan
+    F = np.diag([1e200, 1.0]).astype(np.complex128)
+    with pytest.raises(OverflowError):
+        act_density(F, np.eye(2, dtype=np.complex128))
+
+
 # ----------------------------------------------------- solution trend
 
 

@@ -16,7 +16,13 @@ from qdiff import (
     solve_poisson,
     solve_stream,
 )
-from qdiff.laplacian import _band_tridiagonal, band_ladder_up
+from qdiff.laplacian import (
+    LaplacianEigenbasis,
+    _band_tridiagonal,
+    band_ladder_up,
+    check_eigenbasis,
+    sh_lm,
+)
 from conftest import eigenbasis
 
 
@@ -28,6 +34,14 @@ def test_sh_index_layout():
     assert sh_index(2, -2) == 4
     # l-major, m ascending inside each degree
     assert sh_index(3, 3) + 1 == sh_index(4, -4)
+
+
+@pytest.mark.parametrize("lmax", [0, 1, 5])
+def test_sh_lm_inverts_sh_index(lmax):
+    l, m = sh_lm(lmax)
+    pairs = [(d, k) for d in range(lmax + 1) for k in range(-d, d + 1)]
+    assert list(zip(l.tolist(), m.tolist())) == pairs
+    assert np.array_equal(sh_index(l, m), np.arange((lmax + 1) ** 2))
 
 
 def test_spectrum_small_superoperator():
@@ -137,6 +151,20 @@ def test_eigenbasis_finite_through_zero_pivots():
         bands = build_eigenbasis(N).bands
         assert all(np.isfinite(V).all() for V in bands), N
         assert abs(bands[N - 1][0, 0]) == 1.0
+
+
+@pytest.mark.parametrize("N", [1, 2, 7, 70])
+def test_built_eigenbasis_passes_its_probe(N):
+    # at N = 70 one band-0 column ends in an exact zero, which is not negative
+    check_eigenbasis(build_eigenbasis(N))
+
+
+def test_probe_refuses_nonfinite_band():
+    # tests/test_cli.py runs the probe on corrupted but finite caches
+    bands = [band.copy() for band in eigenbasis(16).bands]
+    bands[9][0, 0] = np.nan
+    with pytest.raises(ValueError, match="band 9 ladder relation misfit nan"):
+        check_eigenbasis(LaplacianEigenbasis(N=16, bands=tuple(bands)))
 
 
 def test_eigenbasis_build_memory():

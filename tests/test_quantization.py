@@ -71,6 +71,37 @@ def test_synthesize_analyze_roundtrip_high_degree(rng):
     assert np.linalg.norm(c2.values - c.values) < 1e-12 * np.linalg.norm(c.values)
 
 
+def _random_coefficients_loop(lmax, rng, real):
+    """random_coefficients as the per-(l, m) loop it replaced."""
+    n = (lmax + 1) ** 2
+    values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    if real:
+        for l in range(lmax + 1):
+            values[l * l + l] = values[l * l + l].real
+            for m in range(1, l + 1):
+                values[l * l + l - m] = (-1.0) ** m * np.conj(values[l * l + l + m])
+    return values
+
+
+@pytest.mark.parametrize("lmax", [0, 1, 5, 12])
+@pytest.mark.parametrize("real", [True, False])
+def test_random_coefficients_match_loop_bit_for_bit(lmax, real):
+    # perfbench's seeded_vorticity mirrors this draw, so it may not move
+    for seed in range(3):
+        c = random_coefficients(lmax, np.random.default_rng(seed), real=real)
+        ref = _random_coefficients_loop(lmax, np.random.default_rng(seed), real)
+        assert c.values.tobytes() == ref.tobytes()
+
+
+def test_is_real_function_finds_one_broken_pair(rng):
+    c = random_coefficients(4, rng, real=True)
+    assert c.is_real_function()
+    for l, m in ((3, -2), (3, 2), (2, 0)):
+        bad = c.copy()
+        bad[l, m] += 1e-6j
+        assert not bad.is_real_function()
+
+
 def test_real_coefficients_give_real_fields(rng):
     c = random_coefficients(9, rng, real=True)
     assert c.is_real_function()
@@ -312,6 +343,15 @@ def test_blob_at_rejects_off_sphere(basis16):
 def test_blob_center_degenerate(basis16):
     with pytest.raises(ValueError):
         blob_center(basis16, np.zeros((16, 16), dtype=np.complex128))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_blob_center_refuses_nonfinite_blob(basis16, bad):
+    # used to return [nan, nan, nan]
+    B = blob_at(basis16, np.array([0.0, 0.6, 0.8]))
+    B[3, 5] = bad
+    with pytest.raises(ValueError, match="not finite"):
+        blob_center(basis16, B)
 
 
 def test_blob_is_rank_one_projector_times_i(basis16, rng):

@@ -69,6 +69,15 @@ def test_blob_renders_bright_at_center():
     assert abs(j - img.width // 2) <= 3
 
 
+def test_nonfinite_field_is_refused():
+    # used to render a raster with "min nan max nan"
+    c = HarmonicCoefficients.zeros(2)
+    c[1, 0] = 1.0
+    c[2, 1] = np.nan
+    with pytest.raises(ValueError, match="not finite"):
+        render_field(c, width=32)
+
+
 def test_width_validation():
     c = HarmonicCoefficients.zeros(0)
     c[0, 0] = 1.0
