@@ -268,15 +268,11 @@ def evolve_vorticity(W0, eig, t_final, h, integrator="isomp", model="euler", kee
 
 
 def _effective_degree(coeffs, tol=1e-12):
+    """Highest degree l whose coefficients carry more than tol of the norm (0 if none)."""
     nrm = np.linalg.norm(coeffs.values)
-    if nrm == 0.0:
-        return 0
-    deg = 0
-    for l in range(coeffs.lmax + 1):
-        block = coeffs.values[l * l : (l + 1) * (l + 1)]
-        if np.linalg.norm(block) > tol * nrm:
-            deg = l
-    return deg
+    l = sh_lm(coeffs.lmax)[0]
+    above = [k for k in range(coeffs.lmax + 1) if np.linalg.norm(coeffs.values[l == k]) > tol * nrm]
+    return max(above, default=0)
 
 
 def classical_bracket(f, g):

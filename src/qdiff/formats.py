@@ -181,14 +181,8 @@ def load_eigenbasis(path):
     # band m holds (N - m)^2 values: N (N + 1) (2N + 1) / 6 in all
     _expect(path, payload, 8 * (N * (N + 1) * (2 * N + 1) // 6))
     payload.flags.writeable = False
-    flat = payload.view(np.float64)
-    bands = []
-    off = 0
-    for m in range(N):
-        size = N - m
-        bands.append(flat[off : off + size * size].reshape(size, size))
-        off += size * size
-    eig = LaplacianEigenbasis(N=N, bands=tuple(bands))
+    bands = _split(path, payload, [(np.float64, (N - m) ** 2) for m in range(N)])
+    eig = LaplacianEigenbasis(N=N, bands=tuple(b.reshape(N - m, N - m) for m, b in enumerate(bands)))
     check_eigenbasis(eig)
     return eig
 

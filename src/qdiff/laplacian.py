@@ -50,7 +50,33 @@ def sh_index(l, m):
 def sh_lm(lmax):
     """Integer arrays l, m of every flat index 0..(lmax+1)^2-1: sh_index inverted."""
     l = np.repeat(np.arange(lmax + 1), 2 * np.arange(lmax + 1) + 1)
-    return l, np.arange(l.size) - l * l - l
+    return l, np.arange(l.size) - sh_index(l, 0)
+
+
+def m_pairs(values, lmax):
+    """Per m = 0..lmax, the (lmax + 1 - m, 2) complex array whose row l - m is
+    [a_lm, (-1)^m a_l,-m] ([a_l0, 0] at m = 0).  Every transform works in
+    this split: T_lm and T_l,-m share band m as Y_lm and Y_l,-m share order m."""
+    pairs = []
+    for m in range(lmax + 1):
+        at = sh_index(np.arange(m, lmax + 1), 0)
+        pair = np.zeros((at.shape[0], 2), dtype=np.complex128)
+        pair[:, 0] = values[at + m]
+        if m:
+            pair[:, 1] = -values[at - m] if m % 2 else values[at - m]
+        pairs.append(pair)
+    return pairs
+
+
+def flat_from_pairs(pairs, lmax):
+    """Inverse of m_pairs as a flat complex vector; an m = 0 second column is ignored."""
+    out = np.zeros((lmax + 1) ** 2, dtype=np.complex128)
+    for m, pair in enumerate(pairs):
+        at = sh_index(np.arange(m, lmax + 1), 0)
+        out[at + m] = pair[:, 0]
+        if m:
+            out[at - m] = -pair[:, 1] if m % 2 else pair[:, 1]
+    return out
 
 
 def apply_laplacian(M, spin=None):
@@ -93,23 +119,16 @@ class LaplacianEigenbasis:
         M = np.asarray(M)
         if M.shape != (self.N, self.N):
             raise ValueError("matrix size does not match the basis")
-        N = self.N
-        out = np.empty(N * N, dtype=np.complex128)
-        out_ri = out.view(np.float64).reshape(N * N, 2)  # (re, im) rows of out
-        for m in range(N):
-            Vm = self.bands[m]
-            ls = np.arange(m, N)
-            flat = ls * ls + ls
+        pairs = []
+        for m, Vm in enumerate(self.bands):
             # one real product per band: the real band never becomes complex
             lo = np.diagonal(M, -m)
-            if m == 0:
-                out_ri[flat] = Vm.T @ np.stack([lo.real, lo.imag], axis=1)
-                continue
-            up = np.diagonal(M, m)
-            r = Vm.T @ np.stack([lo.real, lo.imag, up.real, up.imag], axis=1)
-            out_ri[flat + m] = r[:, :2]
-            out_ri[flat - m] = (-1.0) ** m * r[:, 2:]
-        return out
+            cols = [lo.real, lo.imag]
+            if m:
+                up = np.diagonal(M, m)
+                cols += [up.real, up.imag]
+            pairs.append((Vm.T @ np.stack(cols, axis=1)).view(np.complex128))
+        return flat_from_pairs(pairs, self.N - 1)
 
     def compose(self, coeffs):
         """Dense matrix sum_lm c_lm T_lm from a flat coefficient vector."""
@@ -118,19 +137,14 @@ class LaplacianEigenbasis:
         if coeffs.shape != (N * N,):
             raise ValueError("coefficient vector has wrong length")
         M = np.zeros((N, N), dtype=np.complex128)
-        for m in range(N):
-            Vm = self.bands[m]
-            ls = np.arange(m, N)
-            flat = ls * ls + ls
+        for m, pair in enumerate(m_pairs(coeffs, N - 1)):
             i = np.arange(N - m)
             # an all-zero half-band stays zero; skipping it leaves every
             # other entry's product bit for bit as it was
-            lower = coeffs[flat + m]
-            if lower.any():
-                M[i + m, i] = Vm @ lower
-            upper = coeffs[flat - m]
-            if m > 0 and upper.any():
-                M[i, i + m] = (-1.0) ** m * (Vm @ upper)
+            if pair[:, 0].any():
+                M[i + m, i] = self.bands[m] @ pair[:, 0]
+            if pair[:, 1].any():
+                M[i, i + m] = self.bands[m] @ pair[:, 1]
         return M
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .laplacian import sh_index, sh_lm
+from .laplacian import flat_from_pairs, m_pairs, sh_index, sh_lm
 
 
 @dataclass
@@ -198,31 +198,6 @@ def _dtheta_block(P, x, m):
     return out / np.sqrt(np.maximum(1e-300, 1.0 - x * x))
 
 
-def _m_pairs(values, lmax):
-    """Per m = 0..lmax, the (lmax + 1 - m, 2) complex array whose row l - m is
-    [a_lm, (-1)^m a_l,-m]; the second column is zero at m = 0."""
-    pairs = []
-    for m in range(lmax + 1):
-        ls = np.arange(m, lmax + 1)
-        pair = np.zeros((ls.shape[0], 2), dtype=np.complex128)
-        pair[:, 0] = values[ls * ls + ls + m]
-        if m:
-            pair[:, 1] = (-1.0) ** m * values[ls * ls + ls - m]
-        pairs.append(pair)
-    return pairs
-
-
-def _flat_from_pairs(pairs, lmax):
-    """Inverse of _m_pairs (the m = 0 second column is ignored)."""
-    out = HarmonicCoefficients.zeros(lmax)
-    for m, pair in enumerate(pairs):
-        ls = np.arange(m, lmax + 1)
-        out.values[ls * ls + ls + m] = pair[:, 0]
-        if m:
-            out.values[ls * ls + ls - m] = (-1.0) ** m * pair[:, 1]
-    return out
-
-
 def harmonic(l, m, colat, lon):
     """Y_lm at the given colatitude/longitude (scalars or arrays)."""
     if abs(m) > l:
@@ -253,7 +228,7 @@ def _fourier_slots(lmax, nlon):
 def _synthesize_on(coeffs, grid, dtheta):
     lmax = coeffs.lmax
     _fourier_slots(lmax, grid.nlon)
-    pairs = _m_pairs(coeffs.values, lmax)
+    pairs = m_pairs(coeffs.values, lmax)
     modes = np.zeros((grid.nlat, grid.nlon), dtype=np.complex128)
     for sl, m, P in _legendre_blocks(np.cos(grid.colat), lmax, dtheta):
         # one real matmul gives the +m and -m sums as a (points, 2) complex array
@@ -271,17 +246,26 @@ def synthesize(coeffs, nlat, nlon):
 
 
 def analyze(field, lmax):
-    """Coefficients a_lm = integral of f * conj(Y_lm); exact for resolved input."""
+    """Coefficients a_lm = integral of f * conj(Y_lm); exact for resolved input.
+
+    Raises ValueError unless the field lies on gauss_grid(nlat, nlon), whose
+    nodes and weights the quadrature assumes.
+    """
     if field.nlat < lmax + 1:
         raise ValueError("nlat too small for lmax (need nlat >= lmax+1)")
     _fourier_slots(lmax, field.nlon)
+    ref = gauss_grid(field.nlat, field.nlon)
+    for name in ("colat", "weights", "lon"):
+        got, want = np.asarray(getattr(field, name)), getattr(ref, name)
+        if got.shape != want.shape or not np.all(np.abs(got - want) <= 1e-12):
+            raise ValueError(f"field is not on gauss_grid({field.nlat}, {field.nlon}): its {name} differ")
     fhat = np.fft.fft(field.values, axis=1) * (2.0 * np.pi / field.nlon)
     weighted = field.weights[:, None] * fhat
     pairs = [np.zeros((lmax + 1 - m, 2), dtype=np.complex128) for m in range(lmax + 1)]
     for sl, m, P in _legendre_blocks(np.cos(field.colat), lmax):
         wm = np.ascontiguousarray(weighted[sl][:, [m, -m % field.nlon]])
         pairs[m].view(np.float64)[...] += P @ wm.view(np.float64)
-    return _flat_from_pairs(pairs, lmax)
+    return HarmonicCoefficients(lmax, flat_from_pairs(pairs, lmax))
 
 
 # Applied to (Re a_lm, Im a_lm, Re b_lm, Im b_lm) with b_lm = (-1)^m a_l,-m,
@@ -299,7 +283,7 @@ def evaluate(coeffs, colat, lon):
     if colat.shape != lon.shape:
         raise ValueError("colat and lon must have matching shapes")
     flat_lon = lon.ravel()
-    mixed = [_EVAL_MIX @ pair.view(np.float64).T for pair in _m_pairs(coeffs.values, coeffs.lmax)]
+    mixed = [_EVAL_MIX @ pair.view(np.float64).T for pair in m_pairs(coeffs.values, coeffs.lmax)]
     re = np.zeros(flat_lon.shape)
     im = np.zeros(flat_lon.shape)
     for sl, m, P in _legendre_blocks(np.cos(colat.ravel()), coeffs.lmax):
@@ -338,13 +322,8 @@ def quantize(coeffs, eig):
 
 def dequantize(M, eig, lmax=None):
     """a_lm = Tr(T_lm^dagger M); exact left inverse of quantize."""
-    flat = eig.decompose(M)
-    if lmax is None:
-        lmax = eig.N - 1
-    out = HarmonicCoefficients.zeros(lmax)
-    n = min(flat.shape[0], out.values.shape[0])
-    out.values[:n] = flat[:n]
-    return out
+    lmax = eig.N - 1 if lmax is None else lmax
+    return HarmonicCoefficients(lmax, _flat_for_size(eig.decompose(M), lmax + 1))
 
 
 def bracket_scale(N):

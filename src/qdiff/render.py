@@ -28,13 +28,14 @@ class RasterImage:
 
 def render_field(field, width=512):
     """Render coefficients (or a GridField, analyzed first) to a raster."""
-    if isinstance(field, GridField):
-        lmax = min(field.nlat - 1, (field.nlon - 1) // 2)
-        coeffs = analyze(field, lmax)
-    elif isinstance(field, HarmonicCoefficients):
-        coeffs = field
-    else:
+    if not isinstance(field, (GridField, HarmonicCoefficients)):
         raise TypeError("expected HarmonicCoefficients or GridField")
+    # checked before any transform: evaluate's products warn on an inf
+    if not np.all(np.isfinite(field.values)):
+        raise ValueError("field is not finite: it holds a nan or an inf")
+    coeffs = field
+    if isinstance(field, GridField):
+        coeffs = analyze(field, min(field.nlat - 1, (field.nlon - 1) // 2))
     if width < 16:
         raise ValueError("width must be at least 16 pixels")
     if coeffs.values.size == 0:

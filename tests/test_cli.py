@@ -2,13 +2,17 @@
 
 import argparse
 import json
+import os
 import platform
 import subprocess
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qdiff
 from qdiff import (
     HarmonicCoefficients,
     LaplacianEigenbasis,
@@ -19,6 +23,8 @@ from qdiff import (
     load_mesh,
     save_coefficients,
     save_eigenbasis,
+    save_grid,
+    synthesize,
 )
 from qdiff import cli
 from qdiff.cli import _parser, main
@@ -328,6 +334,60 @@ def test_render_refuses_empty_or_headerless_file(tmp_path, capsys, content):
     assert "qcoef-v1" in err and "qgrid-v1" in err
     assert err.count("\n") == 1
     assert not (tmp_path / "r").exists()
+
+
+def _ppm_pixels(path):
+    return np.frombuffer(path.read_bytes().split(b"\n", 3)[3], dtype=np.uint8)
+
+
+def test_render_of_gauss_grid_matches_its_coefficients(tmp_path):
+    c = HarmonicCoefficients.zeros(2)
+    c[1, 1], c[1, -1], c[2, 0] = 0.6, -0.6, 0.3
+    save_coefficients(tmp_path / "c.qcoef", c)
+    save_grid(tmp_path / "g.qgrid", synthesize(c, 3, 5))
+    for name in ("c.qcoef", "g.qgrid"):
+        assert run(["render", "--input", tmp_path / name, "--width", "64", "--out", tmp_path / name[0]]) == 0
+    want, got = _ppm_pixels(tmp_path / "c" / "render.ppm"), _ppm_pixels(tmp_path / "g" / "render.ppm")
+    # the grid is analyzed first, so a gray level may round the other way
+    assert np.max(np.abs(want.astype(int) - got.astype(int))) <= 1
+
+
+@pytest.mark.parametrize("edit", ["lon", "weights"])
+def test_render_refuses_grid_that_is_not_gauss(tmp_path, capsys, edit):
+    # both files used to render with exit 0: the first as if its samples
+    # sat at the Gauss longitudes, the second with a range of +-3.45
+    # instead of +-0.69
+    c = HarmonicCoefficients.zeros(1)
+    c[1, 1], c[1, -1] = 1.0, -1.0
+    g = synthesize(c, 2, 3)
+    g = replace(g, lon=g.lon + 0.5) if edit == "lon" else replace(g, weights=np.full_like(g.weights, 5.0))
+    save_grid(tmp_path / "g.qgrid", g)
+    out = tmp_path / "r"
+    assert run(["render", "--input", tmp_path / "g.qgrid", "--width", "32", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qdiff-error ValueError: ") and edit in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_render_of_infinite_coefficients_prints_one_line(tmp_path):
+    # in a fresh interpreter, where RuntimeWarnings print rather than raise:
+    # this run used to print four warning lines before its qdiff-error line
+    c = HarmonicCoefficients.zeros(2)
+    c[1, 0] = np.inf
+    save_coefficients(tmp_path / "inf.qcoef", c)
+    out = tmp_path / "r"
+    src = str(Path(qdiff.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "qdiff", "render", "--input", str(tmp_path / "inf.qcoef"),
+         "--width", "16", "--out", str(out)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("qdiff-error ValueError: ") and "not finite" in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.fixture

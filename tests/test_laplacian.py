@@ -1,10 +1,13 @@
 """Quantized Laplacian, its eigen-matrix basis, and the elliptic solvers."""
 
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qdiff
 from qdiff import (
     SpinBasis,
     apply_laplacian,
@@ -21,6 +24,8 @@ from qdiff.laplacian import (
     _band_tridiagonal,
     band_ladder_up,
     check_eigenbasis,
+    flat_from_pairs,
+    m_pairs,
     sh_lm,
 )
 from conftest import eigenbasis
@@ -42,6 +47,31 @@ def test_sh_lm_inverts_sh_index(lmax):
     pairs = [(d, k) for d in range(lmax + 1) for k in range(-d, d + 1)]
     assert list(zip(l.tolist(), m.tolist())) == pairs
     assert np.array_equal(sh_index(l, m), np.arange((lmax + 1) ** 2))
+
+
+@pytest.mark.parametrize("lmax", [0, 1, 5, 40])
+@pytest.mark.parametrize("real", [True, False])
+def test_flat_from_pairs_inverts_m_pairs(lmax, real, rng):
+    v = random_coefficients(lmax, rng, real=real).values
+    pairs = m_pairs(v, lmax)
+    assert [p.shape for p in pairs] == [(lmax + 1 - m, 2) for m in range(lmax + 1)]
+    # row l - m of pairs[m] is [a_lm, (-1)^m a_l,-m]
+    l, m = sh_lm(lmax)
+    got = np.array([pairs[abs(k)][j - abs(k), int(k < 0)] for j, k in zip(l, m)])
+    assert np.array_equal(got, np.where(m < 0, (-1.0) ** m, 1.0) * v)
+    assert not pairs[0][:, 1].any()
+    assert flat_from_pairs(pairs, lmax).tobytes() == v.tobytes()
+
+
+def test_only_sh_index_forms_a_flat_index():
+    # the (l, m) layout has one owner: sh_index, and sh_lm, m_pairs and
+    # flat_from_pairs built on it; no module spells out l*l + l or an
+    # l*l:(l+1)**2 degree slice by hand
+    pattern = re.compile(r"\b(\w+) \* \1 \+ \1\b|\[\s*(\w+) \* \2\s*:")
+    hits = [f"{path.name}: {line.strip()}"
+            for path in sorted(Path(qdiff.__file__).parent.glob("*.py"))
+            for line in path.read_text().splitlines() if pattern.search(line)]
+    assert hits == ["laplacian.py: return l * l + l + m"]
 
 
 def test_spectrum_small_superoperator():
@@ -262,6 +292,33 @@ def _compose_every_band(eig, coeffs):
         if m > 0:
             M[i, i + m] = (-1.0) ** m * (Vm @ coeffs[ls * ls + ls - m])
     return M
+
+
+def _decompose_scattered(eig, M):
+    """decompose with its flat indices and (-1)^m written out: one real
+    product per band scattered into the (re, im) rows of the result."""
+    N = eig.N
+    out = np.empty(N * N, dtype=np.complex128)
+    out_ri = out.view(np.float64).reshape(N * N, 2)
+    for m in range(N):
+        ls = np.arange(m, N)
+        flat = ls * ls + ls
+        lo, up = np.diagonal(M, -m), np.diagonal(M, m)
+        if m == 0:
+            out_ri[flat] = eig.bands[0].T @ np.stack([lo.real, lo.imag], axis=1)
+            continue
+        r = eig.bands[m].T @ np.stack([lo.real, lo.imag, up.real, up.imag], axis=1)
+        out_ri[flat + m] = r[:, :2]
+        out_ri[flat - m] = (-1.0) ** m * r[:, 2:]
+    return out
+
+
+@pytest.mark.parametrize("N", [1, 2, 17, 64, 128])
+def test_decompose_matches_scattered_form_bit_for_bit(N, rng):
+    eig = eigenbasis(N)
+    A = rng.standard_normal((N, N))
+    for M in (A + 1j * rng.standard_normal((N, N)), A - A.T, np.diag(np.diag(A))):
+        assert eig.decompose(M).tobytes() == _decompose_scattered(eig, M).tobytes()
 
 
 @pytest.mark.parametrize("N", [1, 2, 17, 64])

@@ -1,6 +1,7 @@
 """Transforms, coefficient containers, and the classical <-> matrix maps."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -113,6 +114,22 @@ def test_analyze_needs_enough_longitudes():
     g = gauss_grid(8, 9)
     with pytest.raises(ValueError):
         analyze(g.with_values(np.zeros((8, 9), dtype=np.complex128)), 8)
+
+
+@pytest.mark.parametrize("edit", [
+    {"lon": 0.5},  # analyze never read lon: the field came back rotated
+    {"weights": None},  # every weight 5: the field came back scaled
+    {"colat": 1e-9},
+], ids=["lon+0.5", "weights=5", "colat+1e-9"])
+def test_analyze_refuses_grid_that_is_not_gauss(edit, rng):
+    c = random_coefficients(3, rng)
+    f = synthesize(c, 4, 7)
+    ((name, shift),) = edit.items()
+    bad = np.full_like(f.weights, 5.0) if shift is None else getattr(f, name) + shift
+    with pytest.raises(ValueError, match=f"not on gauss_grid.*{name}"):
+        analyze(replace(f, **{name: bad}), 3)
+    # a difference at roundoff is still the Gauss grid
+    assert np.allclose(analyze(replace(f, lon=f.lon + 1e-14), 3).values, c.values, atol=1e-13)
 
 
 def test_harmonic_values_low_degree():

@@ -78,6 +78,22 @@ def test_nonfinite_field_is_refused():
         render_field(c, width=32)
 
 
+@pytest.mark.parametrize("where", ["coefficients", "grid"])
+def test_infinite_field_is_refused_before_any_transform(where):
+    # an inf used to reach evaluate/analyze, whose products warned before
+    # the raster check refused it; tests turn those warnings into errors
+    c = HarmonicCoefficients.zeros(2)
+    c[1, 0] = 1.0
+    field = c
+    if where == "grid":
+        field = synthesize(c, 3, 5)
+        field.values[1, 2] = np.inf
+    else:
+        c[1, 0] = np.inf
+    with pytest.raises(ValueError, match="not finite"):
+        render_field(field, width=32)
+
+
 def test_width_validation():
     c = HarmonicCoefficients.zeros(0)
     c[0, 0] = 1.0
