@@ -92,10 +92,13 @@ def _point(text):
     return tuple(float(x) for x in v / nrm)
 
 
-def _add_common(sub):
-    sub.add_argument("--out", default="qdiff-out", help="output directory")
-    sub.add_argument("--cache-eigenbasis", default=None, metavar="PATH",
-                     help="qeig-v1 cache file; loaded if present, else written")
+def _sized_command(subs, name, help):
+    """A command run at one matrix size: --n, and a cache of its eigenbasis."""
+    s = subs.add_parser(name, help=help)
+    s.add_argument("--n", type=_bounded(int, 2, 256), required=True)
+    s.add_argument("--cache-eigenbasis", default=None, metavar="PATH",
+                   help="qeig-v2 cache file; loaded if present, else written")
+    return s
 
 
 def _parser():
@@ -103,12 +106,9 @@ def _parser():
     p.add_argument("--version", action="version", version=f"qdiff {__version__}")
     subs = p.add_subparsers(dest="command", required=True)
 
-    s = subs.add_parser("basis-check", help="generator and Laplacian invariant suite")
-    s.add_argument("--n", type=_bounded(int, 2, 256), required=True)
-    _add_common(s)
+    _sized_command(subs, "basis-check", "generator and Laplacian invariant suite")
 
-    s = subs.add_parser("simulate", help="evolve quantized vorticity")
-    s.add_argument("--n", type=_bounded(int, 2, 256), required=True)
+    s = _sized_command(subs, "simulate", "evolve quantized vorticity")
     s.add_argument("--model", choices=["euler", "epdiff"], default="euler")
     s.add_argument("--t-final", type=_bounded(float, 0.0), default=1.0)
     s.add_argument("--dt", type=_bounded(float, 0.0, open_lo=True), default=0.02)
@@ -116,10 +116,8 @@ def _parser():
     s.add_argument("--init", default=None, metavar="QCOEF",
                    help="initial vorticity coefficients (default: built-in l=1,2 mix)")
     s.add_argument("--save-states", action="store_true", help="write every state matrix")
-    _add_common(s)
 
-    s = subs.add_parser("blob", help="transport a blob two ways")
-    s.add_argument("--n", type=_bounded(int, 2, 256), required=True)
+    s = _sized_command(subs, "blob", "transport a blob two ways")
     s.add_argument("--mode", choices=["density", "center"], default="density")
     s.add_argument("--point", type=_point, default="-1,0,0",
                    help='initial center "x,y,z", normalized to unit length')
@@ -128,19 +126,18 @@ def _parser():
     s.add_argument("--h", type=_bounded(float, 0.0, open_lo=True), default=1.0,
                    help="center-mode step size")
     s.add_argument("--width", type=_bounded(int, 16, 8192), default=400, help="raster width")
-    _add_common(s)
 
-    s = subs.add_parser("deform", help="mesh deformation and quantized density pattern")
-    s.add_argument("--n", type=_bounded(int, 2, 256), required=True)
+    s = _sized_command(subs, "deform", "mesh deformation and quantized density pattern")
     s.add_argument("--refinements", type=_bounded(int, 0, 8), default=4)
     s.add_argument("--t", type=_bounded(float), default=1.0)
     s.add_argument("--width", type=_bounded(int, 16, 8192), default=400)
-    _add_common(s)
 
+    # render builds no eigenbasis, so it takes no --n and no cache
     s = subs.add_parser("render", help="render a qcoef or qgrid file")
     s.add_argument("--input", required=True, metavar="FILE")
     s.add_argument("--width", type=_bounded(int, 16, 8192), default=512)
-    _add_common(s)
+    for s in subs.choices.values():
+        s.add_argument("--out", default="qdiff-out", help="output directory")
     return p
 
 

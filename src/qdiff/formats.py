@@ -8,7 +8,7 @@ container is parseable with a line read plus one readinto.
 
 Formats: qmat-v1 (square complex matrix), qcoef-v1 (harmonic
 coefficients), qgrid-v1 (Gauss grid samples with nodes and weights),
-qmesh-v1 (triangle mesh with optional per-face scalars), qeig-v1
+qmesh-v1 (triangle mesh with optional per-face scalars), qeig-v2
 (Laplacian eigenbasis band cache), plus binary PPM rasters.
 """
 
@@ -167,7 +167,7 @@ def load_mesh(path):
 
 def save_eigenbasis(path, eig):
     chunks = [np.asarray(band, dtype=np.float64) for band in eig.bands]
-    _write(path, "qeig-v1", [("n", eig.N), ("precision", "binary64")], chunks)
+    _write(path, "qeig-v2", [("n", eig.N), ("precision", "binary64")], chunks)
 
 
 def load_eigenbasis(path):
@@ -176,7 +176,7 @@ def load_eigenbasis(path):
     The bands are probed (laplacian.check_eigenbasis) before they are
     trusted, so a well-formed cache holding another basis raises ValueError.
     """
-    fields, payload = _read(path, "qeig-v1")
+    fields, payload = _read(path, "qeig-v2")
     N = _header_int(path, fields, "n", 1)
     # band m holds (N - m)^2 values: N (N + 1) (2N + 1) / 6 in all
     _expect(path, payload, 8 * (N * (N + 1) * (2 * N + 1) // 6))

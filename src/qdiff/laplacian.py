@@ -28,10 +28,8 @@ per call (Modin & Viviani, JFM 884, 2020; Cifani, Viviani & Modin, JCP
 harmonic coefficients (quantize/dequantize), not to solve.
 
 build_eigenbasis costs O(N^3): its eigenvalues l(l+1) are known exactly,
-so every band m >= 1 is solved by a twisted factorization of the same
-closed-form tridiagonal, O(N) per eigenvector.  Band 0 alone stays on a
-dense eigh, bit for bit as before, because the density path reads only
-band 0 and criterion 6 is decided at roundoff.
+so every band is solved by a twisted factorization of the same
+closed-form tridiagonal, O(N) per eigenvector.
 """
 
 from dataclasses import dataclass
@@ -139,12 +137,14 @@ class LaplacianEigenbasis:
         M = np.zeros((N, N), dtype=np.complex128)
         for m, pair in enumerate(m_pairs(coeffs, N - 1)):
             i = np.arange(N - m)
-            # an all-zero half-band stays zero; skipping it leaves every
-            # other entry's product bit for bit as it was
+            ri = pair.view(np.float64)  # columns re, im of each half-band
+            # one real product per half-band: the real band never becomes
+            # complex.  An all-zero half-band stays zero; skipping it leaves
+            # every other entry's product bit for bit as it was
             if pair[:, 0].any():
-                M[i + m, i] = self.bands[m] @ pair[:, 0]
+                M[i + m, i] = (self.bands[m] @ ri[:, :2]).view(np.complex128)[:, 0]
             if pair[:, 1].any():
-                M[i, i + m] = self.bands[m] @ pair[:, 1]
+                M[i, i + m] = (self.bands[m] @ ri[:, 2:]).view(np.complex128)[:, 0]
         return M
 
 
@@ -153,30 +153,28 @@ def build_eigenbasis(N):
 
     Minus the Laplacian restricted to band m is a symmetric tridiagonal
     (_band_tridiagonal) with simple spectrum l(l+1), l = m..N-1, known
-    exactly.  Each band m >= 1 is solved by a twisted factorization
-    shifted by those eigenvalues, O(N) per eigenvector (_twisted_bands).
-    Band 0 stays on a dense eigh of U0^T U0 with its arithmetic unchanged:
-    the density path reads band 0 alone, and criterion 6 is decided at
-    roundoff there.  The raising ladder pins each column's sign so the
+    exactly.  Every band is solved by a twisted factorization shifted by
+    those eigenvalues, O(N) per eigenvector (_twisted_bands).  Each band-0
+    column is signed by its last entry, which the twisted vector carries
+    to full relative accuracy however small it is (9e-77 for l = 255 at
+    N = 256); the raising ladder then pins each column's sign so the
     phase convention propagates across bands.
     """
     if N < 1:
         raise ValueError("matrix size must be at least 1")
-    Um = band_ladder_up(N, 0, np.eye(N))
-    vals, V = np.linalg.eigh(Um.T @ Um)
-    V = V[:, np.argsort(vals)]
-    # the band-0 tridiagonal is unreduced, so no eigenvector endpoint
-    # vanishes; make the north (last) entry positive
-    bands = [V * np.where(V[-1, :] < 0.0, -1.0, 1.0)]
-    m = 1
+    bands = []
+    m = 0
     while m < N:
         n0 = N - m
         c = min(n0, max(1, _TWIST_CHUNK // (n0 * n0)))
         z = _twisted_bands(N, m, c)
         for i in range(c):
             V = z[: n0 - i, i, i:]
-            W = band_ladder_up(N, m + i - 1, bands[-1][:, 1:])
-            bands.append(V * np.where(np.sum(V * W, axis=0) < 0.0, -1.0, 1.0))
+            if bands:
+                s = np.sum(V * band_ladder_up(N, m + i - 1, bands[-1][:, 1:]), axis=0)
+            else:
+                s = V[-1]  # band 0: the north (last) entry is positive
+            bands.append(V * np.where(s < 0.0, -1.0, 1.0))
         m += c
     return LaplacianEigenbasis(N=N, bands=tuple(bands))
 
@@ -185,13 +183,12 @@ def check_eigenbasis(eig):
     """Probe a basis read from outside with one fixed vector x.
 
     Band 0 must satisfy its eigen relation Delta V0 x = -V0 (lambda x)
-    with lambda_l = l(l+1), keep the norm of x, and have no negative
-    entry in its last row (build_eigenbasis leaves an exact 0.0 there for
-    a few l at some N); each band m >= 1 must be the raising ladder of
-    band m - 1, [J+, V_(m-1)[:, 1:] x] = V_m (s x) with
+    with lambda_l = l(l+1), keep the norm of x, and have a positive last
+    row; each band m >= 1 must be the raising ladder of band m - 1,
+    [J+, V_(m-1)[:, 1:] x] = V_m (s x) with
     s_l = sqrt(l(l+1) - (m-1)m).  Together these pin every band of
     build_eigenbasis's basis, signs included.  Raises ValueError when a
-    relative misfit exceeds 1e-12 (clean bases read <= 1.4e-14 up to
+    relative misfit exceeds 1e-12 (clean bases read <= 1.7e-15 up to
     N = 256) or is nan.
     """
     N, V = eig.N, eig.bands
@@ -204,8 +201,8 @@ def check_eigenbasis(eig):
             raise ValueError(f"eigenbasis fails its probe: {what} misfit {res / ref:.1e}")
 
     with np.errstate(all="ignore"):  # a corrupt basis may hold anything
-        if not np.all(V[0][-1] >= 0.0):
-            raise ValueError("eigenbasis fails its probe: band 0 has a negative last-row entry")
+        if not np.all(V[0][-1] > 0.0):
+            raise ValueError("eigenbasis fails its probe: band 0 has a last row not all positive")
         y = V[0] @ x
         check("band 0 eigen relation", apply_laplacian_band(N, 0, y) + V[0] @ (lam * x), lam * x)
         check("band 0 norm", np.linalg.norm(y) - np.linalg.norm(x), x)

@@ -241,6 +241,8 @@ _BAD_OPTIONS = [
       for w in ("15", "8193")],
     ["deform", "--n", "8", "--t", "inf"],
     ["deform", "--n", "8", "--refinements", "9"],
+    # render builds no eigenbasis, so it has no cache to read or write
+    ["render", "--input", "c.qcoef", "--cache-eigenbasis", "never.qeig"],
 ]
 
 
@@ -252,7 +254,10 @@ def test_bad_option_exits_2_before_any_output(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as ex:
         run([*argv, "--out", out])
     assert ex.value.code == 2
-    assert capsys.readouterr().err.count(": error: argument ") == 1
+    # one usage error, and it names the offending option
+    err = capsys.readouterr().err
+    assert err.count(": error: ") == 1
+    assert f": error: argument {argv[-2]}" in err or f": error: unrecognized arguments: {argv[-2]}" in err
     assert not out.exists()
 
 
@@ -377,12 +382,10 @@ def test_render_of_infinite_coefficients_prints_one_line(tmp_path):
     c[1, 0] = np.inf
     save_coefficients(tmp_path / "inf.qcoef", c)
     out = tmp_path / "r"
-    src = str(Path(qdiff.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "qdiff", "render", "--input", str(tmp_path / "inf.qcoef"),
          "--width", "16", "--out", str(out)],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 1
     assert proc.stderr.startswith("qdiff-error ValueError: ") and "not finite" in proc.stderr
@@ -498,10 +501,34 @@ def test_corrupt_eigenbasis_cache_exits_1(tmp_path, capsys, kind):
     assert not out.exists()
 
 
+def _child_env():
+    """This environment with the package's source directory first on PYTHONPATH,
+    so a child `python -m qdiff` imports the qdiff under test."""
+    src = str(Path(qdiff.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_eigenbasis_cache_of_the_old_signs_exits_1(tmp_path, capsys):
+    # qeig-v1 caches may hold multiplets of the opposite sign that the probe
+    # cannot see (its relations hold for either sign of a whole multiplet)
+    cache = tmp_path / "e.qeig"
+    save_eigenbasis(cache, build_eigenbasis(8))
+    data = cache.read_bytes()
+    cache.write_bytes(data.replace(b"qeig-v2", b"qeig-v1", 1))
+    out = tmp_path / "sim"
+    assert run(["simulate", "--n", "8", "--t-final", "0.1", "--dt", "0.05",
+                "--cache-eigenbasis", cache, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qdiff-error ValueError: ") and "expected a qeig-v2 container" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+    assert cache.read_bytes()[:7] == b"qeig-v1"
+
+
 def test_module_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "qdiff", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().startswith("qdiff ")

@@ -170,7 +170,7 @@ def test_truncated_file_is_refused(tmp_path):
     (load_grid, "qgrid-v1 nlat=2 nlon=-1", 32),
     (load_mesh, "qmesh-v1 nv=-1 nf=0", 0),
     (load_mesh, "qmesh-v1 nv=3 nf=-1", 72),
-    (load_eigenbasis, "qeig-v1 n=0", 0),
+    (load_eigenbasis, "qeig-v2 n=0", 0),
 ], ids=["lmax-2", "lmax-1", "lmax-text", "n0", "n-1", "n-missing", "nlat0", "nlon-1",
         "nv-1", "nf-1", "eig-n0"])
 def test_header_integers_are_range_checked(tmp_path, load, header, payload_bytes):
@@ -185,7 +185,7 @@ LOADERS = {
     "qcoef-v1": (load_coefficients, ("lmax",)),
     "qgrid-v1": (load_grid, ("nlat", "nlon")),
     "qmesh-v1": (load_mesh, ("nv", "nf", "scalars")),
-    "qeig-v1": (load_eigenbasis, ("n",)),
+    "qeig-v2": (load_eigenbasis, ("n",)),
 }
 # a load may allocate the file's bytes plus this much for the reader's
 # own buffer and the returned objects, never what a header integer asks
@@ -254,7 +254,7 @@ def valid_container(draw):
         nv, nf = draw(small), draw(st.integers(0, 5))
         scalars = np.zeros(nf) if draw(st.booleans()) else None
         return save_mesh, load_mesh, TriMesh(np.zeros((nv, 3)), np.zeros((nf, 3), int), scalars)
-    # the loader probes the bands, so an intact qeig-v1 file holds a real basis
+    # the loader probes the bands, so an intact qeig-v2 file holds a real basis
     return save_eigenbasis, load_eigenbasis, build_eigenbasis(draw(small))
 
 
@@ -279,7 +279,7 @@ def test_truncated_or_extended_payloads_raise_value_error(fuzz_file, container, 
 def test_header_integers_never_size_an_allocation(tmp_path):
     # each header implies terabytes against a payload of 64 bytes
     for header in (f"qmat-v1 n={HUGE}", f"qcoef-v1 lmax={HUGE}", f"qgrid-v1 nlat={HUGE} nlon=2",
-                   f"qmesh-v1 nv={HUGE} nf=1 scalars=1", f"qeig-v1 n={HUGE}"):
+                   f"qmesh-v1 nv={HUGE} nf=1 scalars=1", f"qeig-v2 n={HUGE}"):
         p = tmp_path / "big"
         data = header.encode("ascii") + b"\n" + b"\0" * 64
         p.write_bytes(data)

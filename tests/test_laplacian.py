@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -118,14 +119,61 @@ def _dense_band(N, m):
     return m * m * np.eye(n) + 0.5 * (Um.T @ Um + Up @ Up.T)
 
 
+def _band0_recurrence(N):
+    """Exact u[l][k] for every band-0 column l: u_(k+1) = (d_k - lam) u_k - e2_k u_(k-1),
+    u_0 = 1, lam = l(l+1), with _band_tridiagonal's coefficients as Fractions.
+
+    The eigenvector is v_k = u_k / (g_1...g_k) with every coupling g > 0,
+    so sign(v_k) = sign(u_k) and v_k^2 = u_k^2 / (e2_1...e2_k), exactly.
+    """
+    diag, e2 = _band_tridiagonal(N, 0, np.arange(N))
+    d, e = [Fraction(x) for x in diag], [Fraction(x) for x in e2]
+    cols = []
+    for l in range(N):
+        lam, u = l * (l + 1), [Fraction(1)]
+        for k in range(N):
+            u.append((d[k] - lam) * u[k] - (e[k] * u[k - 1] if k else 0))
+        assert u.pop() == 0  # l(l+1) is an exact eigenvalue
+        cols.append(u)
+    return cols, e
+
+
+def _band0_oracle(N):
+    """Band 0 from the exact recurrence, normalized, each last entry positive."""
+    cols, e2 = _band0_recurrence(N)
+    V = np.empty((N, N))
+    for l, u in enumerate(cols):
+        w, scale = [], Fraction(1)
+        for k, uk in enumerate(u):
+            scale *= e2[k] if k else 1
+            w.append(uk * uk / scale)
+        total = sum(w)
+        north = 1 if u[-1] > 0 else -1
+        V[:, l] = [north * (1 if uk > 0 else -1) * np.sqrt(float(wk / total)) for uk, wk in zip(u, w)]
+    return V
+
+
+@pytest.mark.parametrize("N", [*range(2, 21), *range(59, 71)])
+def test_band0_matches_exact_oracle(N):
+    # from N = 59 on, the last entry of some T_l0 is too small for a dense
+    # eigensolver to carry its sign; the twisted vector carries it exactly
+    V = build_eigenbasis(N).bands[0]
+    assert np.all(V[-1] > 0.0)
+    assert np.max(np.abs(V - _band0_oracle(N))) <= 1e-13
+
+
 def _eigh_eigenbasis(N):
-    """Reference: every band diagonalized densely by eigh, signs as built."""
+    """Reference: every band diagonalized densely by eigh; band 0 signed as
+    the exact recurrence signs its largest entry, band m by the ladder."""
+    cols = _band0_recurrence(N)[0]
     bands = []
     for m in range(N):
         vals, V = np.linalg.eigh(_dense_band(N, m))
         V = V[:, np.argsort(vals)]
         if m == 0:
-            sgn = np.where(V[-1, :] < 0.0, -1.0, 1.0)
+            k = np.argmax(np.abs(V), axis=0)
+            exact = [(u[kl] > 0) == (u[-1] > 0) for u, kl in zip(cols, k)]
+            sgn = np.where((V[k, np.arange(N)] > 0.0) == exact, 1.0, -1.0)
         else:
             W = band_ladder_up(N, m - 1, bands[m - 1][:, 1:])
             sgn = np.where(np.sum(V * W, axis=0) < 0.0, -1.0, 1.0)
@@ -167,11 +215,9 @@ def test_band_residual_against_closed_form(N):
 
 @pytest.mark.parametrize("N", [1, 2, 3, 17, 64, 128])
 def test_eigenbasis_matches_dense_eigh(N):
-    # band 0 keeps the eigh arithmetic bit for bit (the density path reads
-    # it); the twisted bands agree with eigh's to roundoff, signs included
+    # every twisted band agrees with eigh's to roundoff, signs included
     got, ref = eigenbasis(N).bands, _eigh_eigenbasis(N)
-    assert np.array_equal(got[0], ref[0])
-    for m in range(1, N):
+    for m in range(N):
         assert np.max(np.abs(got[m] - ref[m])) <= 1e-13, m
 
 
@@ -185,7 +231,8 @@ def test_eigenbasis_finite_through_zero_pivots():
 
 @pytest.mark.parametrize("N", [1, 2, 7, 70])
 def test_built_eigenbasis_passes_its_probe(N):
-    # at N = 70 one band-0 column ends in an exact zero, which is not negative
+    # at N = 70 band 0's last row falls to 6.3e-19 at l = 67, where a dense
+    # eigh returned an exact zero, and to 6.5e-21 at l = 69: all positive
     check_eigenbasis(build_eigenbasis(N))
 
 
@@ -281,16 +328,33 @@ def _decompose_complex(eig, M):
 
 
 def _compose_every_band(eig, coeffs):
-    """compose with a product for every half-band, zero or not."""
+    """compose with a real product for every half-band, zero or not."""
     N = eig.N
     M = np.zeros((N, N), dtype=np.complex128)
+
+    def product(Vm, c):
+        return (Vm @ np.stack([c.real, c.imag], axis=1)).view(np.complex128)[:, 0]
+
     for m in range(N):
         Vm = eig.bands[m]
         ls = np.arange(m, N)
         i = np.arange(N - m)
-        M[i + m, i] = Vm @ coeffs[ls * ls + ls + m]
+        M[i + m, i] = product(Vm, coeffs[ls * ls + ls + m])
         if m > 0:
-            M[i, i + m] = (-1.0) ** m * (Vm @ coeffs[ls * ls + ls - m])
+            M[i, i + m] = product(Vm, (-1.0) ** m * coeffs[ls * ls + ls - m])
+    return M
+
+
+def _compose_complex(eig, coeffs):
+    """compose in complex arithmetic, each band promoted to complex."""
+    N = eig.N
+    M = np.zeros((N, N), dtype=np.complex128)
+    for m in range(N):
+        Vm = eig.bands[m].astype(np.complex128)
+        ls = np.arange(m, N)
+        i = np.arange(N - m)
+        M[i + m, i] = Vm @ coeffs[ls * ls + ls + m]
+        M[i, i + m] = (-1.0) ** m * (Vm @ coeffs[ls * ls + ls - m])
     return M
 
 
@@ -327,6 +391,14 @@ def test_decompose_matches_complex_arithmetic(N, rng):
     M = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
     want = _decompose_complex(eig, M)
     assert np.linalg.norm(eig.decompose(M) - want) <= 1e-14 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("N", [1, 2, 17, 64])
+def test_compose_matches_complex_arithmetic(N, rng):
+    eig = eigenbasis(N)
+    c = rng.standard_normal(N * N) + 1j * rng.standard_normal(N * N)
+    want = _compose_complex(eig, c)
+    assert np.linalg.norm(eig.compose(c) - want) <= 1e-15 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("lmax", [0, 3, 12, 63])
