@@ -233,8 +233,8 @@ def cmd_basis_check(args):
     return (0 if ok else 1), [("basis_check.txt", _write_text, report)]
 
 
-def _default_vorticity(eig):
-    a = HarmonicCoefficients.zeros(min(2, eig.N - 1))
+def _default_vorticity(n):
+    a = HarmonicCoefficients.zeros(min(2, n - 1))
     a[1, 0] = 0.8
     if a.lmax >= 2:
         a[2, 1] = 0.5 + 0.25j
@@ -244,11 +244,11 @@ def _default_vorticity(eig):
 
 def cmd_simulate(args):
     eig = _eigenbasis(args)
-    coeffs = load_coefficients(args.init) if args.init else _default_vorticity(eig)
+    coeffs = load_coefficients(args.init) if args.init else _default_vorticity(args.n)
     values = coeffs.values.copy()
     values[0] = 0.0  # constants do not move anything; keep W trace-free
     W0 = quantize(HarmonicCoefficients(coeffs.lmax, 1j * values), eig)
-    traj = evolve_vorticity(W0, eig, args.t_final, args.dt, args.integrator, args.model,
+    traj = evolve_vorticity(W0, args.t_final, args.dt, args.integrator, args.model,
                             keep_states=args.save_states)
     header = ["step", "time", "trace_re", "trace_im", "trW2_re", "trW2_im", "eig_drift"]
     entries = [

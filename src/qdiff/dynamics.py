@@ -21,8 +21,8 @@ accuracy regardless of step size; for skew-Hermitian W it is a
 congruence and preserves skewness exactly.  Classical RK4 is provided
 as a non-structure-preserving baseline.
 
-solve_stream works band by band on tridiagonal systems, so the step
-loop never touches the Laplacian eigenbasis; that basis serves only
+solve_stream(W, model) reads N from W and solves band by band, so no
+integrator here takes the Laplacian eigenbasis; that basis serves only
 quantize/dequantize at the ends of a run.
 """
 
@@ -71,13 +71,13 @@ def act_density(F, B):
     return out
 
 
-def vorticity_rhs(W, eig, model="euler"):
+def vorticity_rhs(W, model="euler"):
     """[P, W] with P = solve_stream(W)."""
-    P = solve_stream(W, eig, model)
+    P = solve_stream(W, model)
     return P @ W - W @ P
 
 
-def _midpoint_step(W, eig, h, model, lu):
+def _midpoint_step(W, h, model, lu):
     """The midpoint step, or None when its fixed point fails.
 
     The stage is iterated from Pt = P(W): with lu false each iterate is
@@ -87,7 +87,7 @@ def _midpoint_step(W, eig, h, model, lu):
     stopped being finite.
     """
     ident = np.eye(W.shape[0], dtype=np.complex128) if lu else None
-    Pt = solve_stream(W, eig, model)
+    Pt = solve_stream(W, model)
     Wt = W
     # a diverging iterate overflows; the finiteness test below reports it,
     # so the warnings it would raise on the way carry nothing more
@@ -100,7 +100,7 @@ def _midpoint_step(W, eig, h, model, lu):
             else:
                 X = Wt @ A
                 Wt = W - X + A @ (Wt + X)
-            Pn = solve_stream(Wt, eig, model)
+            Pn = solve_stream(Wt, model)
             delta = np.linalg.norm(Pn - Pt)
             scale = np.linalg.norm(Pn)
             if not (np.isfinite(delta) and np.isfinite(scale)):
@@ -121,7 +121,7 @@ def _midpoint_step(W, eig, h, model, lu):
     return (ident + A) @ Wt @ (ident - A)
 
 
-def step_isospectral_midpoint(W, eig, h, model="euler"):
+def step_isospectral_midpoint(W, h, model="euler"):
     """One isospectral midpoint step.
 
     The stage is iterated with matrix products; where that iteration
@@ -131,10 +131,10 @@ def step_isospectral_midpoint(W, eig, h, model="euler"):
     """
     if h <= 0.0:
         raise ValueError("step size must be positive")
-    out = _midpoint_step(W, eig, h, model, lu=False)
+    out = _midpoint_step(W, h, model, lu=False)
     if out is None:
         try:
-            out = _midpoint_step(W, eig, h, model, lu=True)
+            out = _midpoint_step(W, h, model, lu=True)
         except np.linalg.LinAlgError:
             out = None
     if out is None:
@@ -145,12 +145,12 @@ def step_isospectral_midpoint(W, eig, h, model="euler"):
     return out
 
 
-def step_rk4(W, eig, h, model="euler"):
+def step_rk4(W, h, model="euler"):
     """One classical RK4 step of W' = [P, W] (baseline, not structure-preserving)."""
-    k1 = vorticity_rhs(W, eig, model)
-    k2 = vorticity_rhs(W + 0.5 * h * k1, eig, model)
-    k3 = vorticity_rhs(W + 0.5 * h * k2, eig, model)
-    k4 = vorticity_rhs(W + h * k3, eig, model)
+    k1 = vorticity_rhs(W, model)
+    k2 = vorticity_rhs(W + 0.5 * h * k1, model)
+    k3 = vorticity_rhs(W + 0.5 * h * k2, model)
+    k4 = vorticity_rhs(W + h * k3, model)
     return W + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -222,7 +222,7 @@ def step_count(t_final, h):
     return n
 
 
-def evolve_vorticity(W0, eig, t_final, h, integrator="isomp", model="euler", keep_states=True):
+def evolve_vorticity(W0, t_final, h, integrator="isomp", model="euler", keep_states=True):
     """Evolve W0 to t_final in steps of h, recording diagnostics per state.
 
     With keep_states false the trajectory holds only the final state, so
@@ -248,7 +248,7 @@ def evolve_vorticity(W0, eig, t_final, h, integrator="isomp", model="euler", kee
     enstrophy = [np.sum(W * W.T)]
     drift = [0.0]
     for _ in range(n):
-        W = step(W, eig, h, model)  # a new array: the stored states never alias
+        W = step(W, h, model)  # a new array: the stored states never alias
         if keep_states:
             states.append(W)
         else:

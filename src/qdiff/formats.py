@@ -162,6 +162,8 @@ def load_mesh(path):
     if int(fields.get("scalars", "0")):
         layout.append((np.float64, nf))
     verts, faces, *scalars = _split(path, payload, layout)
+    if faces.size and not (faces.min() >= 0 and faces.max() < nv):
+        raise ValueError(f"{path}: face indices must lie in [0, {nv})")
     return TriMesh(verts.reshape(nv, 3), faces.reshape(nf, 3), scalars[0] if scalars else None)
 
 

@@ -22,10 +22,11 @@ spherical harmonic coefficients.
 
 The Laplacian restricted to one band is a symmetric tridiagonal matrix
 whose entries follow in closed form from the ladder amplitudes, so
-solve_stream inverts it band by band with cached LDL^T factors in O(N^2)
-per call (Modin & Viviani, JFM 884, 2020; Cifani, Viviani & Modin, JCP
-473, 2023).  The eigenbasis is needed only to move between matrices and
-harmonic coefficients (quantize/dequantize), not to solve.
+solve_stream(W, model) inverts it band by band with cached LDL^T factors
+in O(N^2) per call, N read from W (Modin & Viviani, JFM 884, 2020;
+Cifani, Viviani & Modin, JCP 473, 2023).  It takes no eigenbasis: that
+is needed only to move between matrices and harmonic coefficients
+(quantize/dequantize).
 
 build_eigenbasis costs O(N^3): its eigenvalues l(l+1) are known exactly,
 so every band is solved by a twisted factorization of the same
@@ -154,11 +155,14 @@ def build_eigenbasis(N):
     Minus the Laplacian restricted to band m is a symmetric tridiagonal
     (_band_tridiagonal) with simple spectrum l(l+1), l = m..N-1, known
     exactly.  Every band is solved by a twisted factorization shifted by
-    those eigenvalues, O(N) per eigenvector (_twisted_bands).  Each band-0
-    column is signed by its last entry, which the twisted vector carries
-    to full relative accuracy however small it is (9e-77 for l = 255 at
-    N = 256); the raising ladder then pins each column's sign so the
-    phase convention propagates across bands.
+    those eigenvalues, O(N) per eigenvector (_twisted_bands).  Each column
+    of band b is signed by its own last entry, (-1)^b V[-1] > 0, so no
+    band reads another while it is built.  That entry is the stretched
+    Clebsch-Gordan coefficient <s, s-b; l, b | s, s>, whose Condon-Shortley
+    sign is (-1)^b and which never vanishes; the twisted vector carries
+    it to full relative accuracy however small it is (9e-77 for l = 255
+    at N = 256).  The signs so fixed are the ones the raising ladder
+    carries from band 0, so the phase convention holds across bands.
     """
     if N < 1:
         raise ValueError("matrix size must be at least 1")
@@ -170,10 +174,7 @@ def build_eigenbasis(N):
         z = _twisted_bands(N, m, c)
         for i in range(c):
             V = z[: n0 - i, i, i:]
-            if bands:
-                s = np.sum(V * band_ladder_up(N, m + i - 1, bands[-1][:, 1:]), axis=0)
-            else:
-                s = V[-1]  # band 0: the north (last) entry is positive
+            s = -V[-1] if (m + i) % 2 else V[-1]  # (-1)^b V[-1] > 0 on band b
             bands.append(V * np.where(s < 0.0, -1.0, 1.0))
         m += c
     return LaplacianEigenbasis(N=N, bands=tuple(bands))
@@ -331,11 +332,6 @@ def apply_laplacian_band(N, m, t):
     return out[:, 0] if squeeze else out
 
 
-def solve_poisson(W, eig):
-    """P with Delta P = W on the mean-free part; the l = 0 mode is dropped."""
-    return solve_stream(W, eig, "euler")
-
-
 @lru_cache(maxsize=8)
 def _skew_index(N):
     """Flat indices gathering W into T[i, m] = W[(i + m) % N, i].
@@ -402,21 +398,20 @@ def _band_solve(T, shift):
     return T
 
 
-def solve_stream(W, eig, model="euler"):
-    """Stream matrix generating the flow for a vorticity-like matrix W.
+def solve_stream(W, model="euler"):
+    """Stream matrix P generating the flow for an N x N vorticity-like W.
 
-    model "euler" inverts the Laplacian; model "epdiff" additionally
+    model "euler" solves Delta P = W; model "epdiff" additionally
     applies (1 - Delta)^{-1}, the inertia operator of the EPDiff system.
     The l = 0 mode is dropped in both cases.  Each band is solved
-    directly as a tridiagonal system, O(N^2) in all; the eigenbasis is
-    not used.
+    directly as a tridiagonal system, O(N^2) in all.
     """
     if model not in ("euler", "epdiff"):
         raise ValueError("model must be 'euler' or 'epdiff'")
     W = np.asarray(W)
-    N = eig.N
-    if W.shape != (N, N):
-        raise ValueError("matrix size does not match the basis")
+    if W.ndim != 2 or not 0 < W.shape[0] == W.shape[1]:
+        raise ValueError("vorticity must be a non-empty square matrix")
+    N = W.shape[0]
     idx = _skew_index(N)
     T = np.take(W.astype(np.complex128, copy=False), idx)
     T[:, 0] -= T[:, 0].mean()  # column 0 is the diagonal: drop the l = 0 mode

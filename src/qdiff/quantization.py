@@ -41,6 +41,8 @@ class HarmonicCoefficients:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.complex128)
+        if self.lmax < 0:
+            raise ValueError("lmax must be >= 0")
         if self.values.shape != ((self.lmax + 1) ** 2,):
             raise ValueError("coefficient vector length does not match lmax")
 

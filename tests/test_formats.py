@@ -289,6 +289,15 @@ def test_header_integers_never_size_an_allocation(tmp_path):
         assert peak <= len(data) + LOAD_SLACK
 
 
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_mesh_face_index_out_of_range_is_refused(tmp_path, bad):
+    # -1 used to wrap to the last vertex, and nv to fail as an IndexError
+    p = tmp_path / "bad.qmesh"
+    save_mesh(p, TriMesh(np.eye(3), np.array([[0, 1, bad]]), None))
+    with pytest.raises(ValueError, match=r"face indices must lie in \[0, 3\)"):
+        load_mesh(p)
+
+
 def test_empty_mesh_is_legal(tmp_path):
     p = tmp_path / "empty.qmesh"
     p.write_bytes(b"qmesh-v1 nv=0 nf=0 scalars=0\n")

@@ -17,7 +17,6 @@ from qdiff import (
     quantized_gradient,
     random_coefficients,
     sh_index,
-    solve_poisson,
     solve_stream,
 )
 from qdiff.laplacian import (
@@ -160,6 +159,14 @@ def test_band0_matches_exact_oracle(N):
     V = build_eigenbasis(N).bands[0]
     assert np.all(V[-1] > 0.0)
     assert np.max(np.abs(V - _band0_oracle(N))) <= 1e-13
+
+
+def test_every_band_signed_by_its_last_entry():
+    # the last entry of band b is the stretched Clebsch-Gordan coefficient
+    # <s, s-b; l, b | s, s>: Condon-Shortley sign (-1)^b, never zero
+    for N in [*range(2, 65), 256]:
+        for m, V in enumerate(eigenbasis(N).bands):
+            assert np.all((-1.0) ** m * V[-1] > 0.0), (N, m)
 
 
 def _eigh_eigenbasis(N):
@@ -451,35 +458,35 @@ def test_laplacian_of_commutator_with_j3(eig8):
     assert np.linalg.norm(lhs - rhs) < 1e-11
 
 
-def test_solve_poisson_inverts_laplacian(eig16, rng):
+def test_solve_stream_inverts_laplacian(eig16, rng):
     c = rng.standard_normal(256) + 1j * rng.standard_normal(256)
     c[0] = 0.0  # no mean
     W = eig16.compose(c)
-    P = solve_poisson(W, eig16)
+    P = solve_stream(W)
     assert np.linalg.norm(apply_laplacian(P) - W) < 1e-9
     assert abs(np.trace(P)) < 1e-10
 
 
-def test_solve_poisson_drops_mean(eig8):
+def test_solve_stream_drops_mean():
     W = np.eye(8, dtype=np.complex128)
-    assert np.linalg.norm(solve_poisson(W, eig8)) < 1e-13
+    assert np.linalg.norm(solve_stream(W)) < 1e-13
 
 
 def test_solve_stream_models(eig8):
     T = eig8.matrix(1, 0)
-    euler = solve_stream(T, eig8, model="euler")
-    ep = solve_stream(T, eig8, model="epdiff")
+    euler = solve_stream(T, model="euler")
+    ep = solve_stream(T, model="epdiff")
     assert abs(np.trace(euler.conj().T @ T).real + 0.5) < 1e-12
     assert abs(np.trace(ep.conj().T @ T).real + 1.0 / 6.0) < 1e-12
     with pytest.raises(ValueError):
-        solve_stream(T, eig8, model="navier")
+        solve_stream(T, model="navier")
 
 
 def test_epdiff_factor_general_degree(eig16):
     # degree l: euler -1/(l(l+1)), extra helmholtz factor 1/(1 + l(l+1))
     for l in (2, 5):
         T = eig16.matrix(l, 1)
-        got = np.trace(solve_stream(T, eig16, model="epdiff").conj().T @ T).real
+        got = np.trace(solve_stream(T, model="epdiff").conj().T @ T).real
         lam = l * (l + 1.0)
         assert abs(got + 1.0 / (lam * (1.0 + lam))) < 1e-12
 
@@ -497,9 +504,8 @@ def test_solve_stream_matches_per_degree_loop(rng):
                 lam = l * (l + 1.0)
                 scale[l * l : (l + 1) ** 2] = -1.0 / lam if model == "euler" else -1.0 / (lam * (1.0 + lam))
             ref = eig.compose(c * scale)
-            err = np.linalg.norm(solve_stream(W, eig, model) - ref)
+            err = np.linalg.norm(solve_stream(W, model) - ref)
             assert err <= 1e-12 * np.linalg.norm(ref), (N, model)
-        assert np.array_equal(solve_poisson(W, eig), solve_stream(W, eig, "euler"))
 
 
 @pytest.mark.parametrize("N", [128, 256])
@@ -508,14 +514,14 @@ def test_solve_stream_residual_large(N, rng):
     spin = SpinBasis(N)
     scale = np.linalg.norm(W)
     target = W - np.trace(W) / N * np.eye(N)
-    P = solve_stream(W, eigenbasis(N))
+    P = solve_stream(W)
     assert np.linalg.norm(apply_laplacian(P, spin) - target) <= 1e-12 * scale
     assert abs(np.trace(P)) <= 1e-12 * scale
     # EPDiff: (1 - Delta) Delta Q = W on the mean-free part.  Evaluating
     # the residual scales the rounding of Q by ||(1 - Delta) Delta|| ~ N^4,
     # so it is bounded relative to that norm (a backward error; on random
     # W the eigenbasis path gives 2e-16 to 4e-16, the band solve 2e-17)
-    Q = solve_stream(W, eigenbasis(N), "epdiff")
+    Q = solve_stream(W, "epdiff")
     LQ = apply_laplacian(Q, spin)
     lam = (N - 1.0) * N
     res = np.linalg.norm(LQ - apply_laplacian(LQ, spin) - target)
@@ -525,17 +531,18 @@ def test_solve_stream_residual_large(N, rng):
     assert np.linalg.norm(Q - LQ - P) <= 1e-12 * scale
 
 
-def test_solve_stream_keeps_skew_hermitian(eig16, rng):
+def test_solve_stream_keeps_skew_hermitian(rng):
     A = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     W = A - A.conj().T
     for model in ("euler", "epdiff"):
-        P = solve_stream(W, eig16, model)
+        P = solve_stream(W, model)
         assert np.linalg.norm(P + P.conj().T) <= 1e-14 * np.linalg.norm(P)
 
 
-def test_solve_stream_rejects_wrong_size(eig8):
+@pytest.mark.parametrize("shape", [(8, 9), (8,), (2, 8, 8), (0, 0)], ids=["8x9", "vector", "stack", "empty"])
+def test_solve_stream_rejects_non_square(shape):
     with pytest.raises(ValueError):
-        solve_stream(np.zeros((9, 9)), eig8)
+        solve_stream(np.zeros(shape))
 
 
 def test_quantized_gradient_of_x3_generator():

@@ -54,6 +54,13 @@ def test_coefficient_indexing():
         c[2, 3]
 
 
+@pytest.mark.parametrize("lmax", [-1, -2])
+def test_coefficients_refuse_negative_lmax(lmax):
+    # lmax = -2 implies (lmax + 1)^2 = 1 value, so the length check passed
+    with pytest.raises(ValueError):
+        HarmonicCoefficients(lmax, np.zeros((lmax + 1) ** 2))
+
+
 # ----------------------------------------------------------- transforms
 
 
