@@ -193,7 +193,8 @@ def write_ppm(path, image):
     """Binary PPM (P6) with the raster's rgb payload."""
     with open(path, "wb") as fh:
         fh.write(f"P6\n{image.width} {image.height}\n255\n".encode("ascii"))
-        fh.write(image.rgb.tobytes())
+        # the buffer itself: a tobytes() copy would hold the raster twice
+        fh.write(np.ascontiguousarray(image.rgb).data)
 
 
 def write_raster_with_sidecar(path, image):

@@ -28,6 +28,7 @@ from qdiff import (
 )
 from qdiff import cli
 from qdiff.cli import _parser, main
+from qdiff.render import BACKGROUND
 
 
 def run(argv):
@@ -293,6 +294,20 @@ def test_deform_summary(tmp_path):
     mesh = load_mesh(out / "deformed_mesh.qmesh")
     assert mesh.face_scalars is not None and mesh.face_scalars.size == mesh.n_faces
     assert load_matrix(out / "ffdag.qmat").shape == (8, 8)
+
+
+def test_identity_deform_renders_flat_midgray(tmp_path):
+    # t = 0 is the identity flow: the density is uniform, and its range
+    # (1.5957691216057261 to ...313, 3e-15 relative) used to be stretched
+    # over 23 gray levels
+    out = tmp_path / "def"
+    assert run(["deform", "--n", "32", "--t", "0", "--refinements", "1",
+                "--width", "64", "--out", out]) == 0
+    pixels = _ppm_pixels(out / "ffdag.ppm").reshape(-1, 3)
+    assert set(map(tuple, pixels)) == {(128, 128, 128), BACKGROUND}
+    lines = (out / "ffdag.ppm.range").read_text().splitlines()
+    vmin, vmax = (float(ln.split()[1]) for ln in lines)
+    assert vmin < vmax <= vmin * (1.0 + 1e-12)
 
 
 def test_render_roundtrip_and_bad_input(tmp_path, capsys):

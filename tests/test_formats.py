@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qdiff import (
     GridField,
     HarmonicCoefficients,
+    RasterImage,
     TriMesh,
     build_eigenbasis,
     gauss_grid,
@@ -337,6 +338,24 @@ def test_ppm_layout(tmp_path):
     assert maxval == b"255"
     assert len(rest) == 64 * 32 * 3
     assert rest == img.rgb.tobytes()
+
+
+def test_ppm_writes_the_rgb_buffer_itself(tmp_path):
+    rng = np.random.default_rng(3)
+    rgb = rng.integers(0, 256, size=(512, 1024, 3), dtype=np.uint8)
+    img = RasterImage(width=1024, height=512, rgb=rgb, vmin=0.0, vmax=1.0)
+    tracemalloc.start()
+    try:
+        write_ppm(tmp_path / "a.ppm", img)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rgb.nbytes // 10  # no tobytes() copy of the 1.5 MB payload
+    assert (tmp_path / "a.ppm").read_bytes() == b"P6\n1024 512\n255\n" + rgb.tobytes()
+    # a non-contiguous view is written in raster order too
+    view = RasterImage(width=512, height=512, rgb=rgb[:, ::2], vmin=0.0, vmax=1.0)
+    write_ppm(tmp_path / "b.ppm", view)
+    assert (tmp_path / "b.ppm").read_bytes() == b"P6\n512 512\n255\n" + rgb[:, ::2].tobytes()
 
 
 def test_raster_sidecar_records_exact_range(tmp_path):
